@@ -202,21 +202,6 @@ def p_laplacian(space: ModelSpace, u: Expr, p: int) -> ClearedExpr:
     return ClearedExpr(num=num, clearing=lb.clearing)
 
 
-def p_laplacian_at(space: ModelSpace, u: Expr, p: float, point: Sequence[Fraction]) -> float:
-    """Numeric p-Laplacian |grad u|^{p-2}(Lap u + (p-2)/|grad u|^2 InfLap u) for real p > 2."""
-    w = evaluate(gradient_norm_squared(space, u), point)
-    lb = laplace_beltrami(space, u)
-    lap = evaluate(lb.num, point) / evaluate(lb.clearing, point)
-    dinf = evaluate(infinity_laplacian(space, u), point)
-    if w == 0.0:
-        return 0.0
-    if w < 0.0:
-        raise UnsupportedExpressionError(
-            "numeric p-Laplacian needs a nonnegative gradient norm (Riemannian chart)"
-        )
-    return w ** ((p - 2) / 2.0) * lap + (p - 2) * w ** ((p - 4) / 2.0) * dinf
-
-
 # ---------------------------------------------------------------------------
 # map operators
 
@@ -253,9 +238,14 @@ def _tension_components(
     m = domain.dim
     jac = [[partial_derivative(c, i) for i in range(m)] for c in comps]
     dnum = [partial_derivative(energy.num, j) for j in range(m)]
-    plain = energy.is_plain
-    if not plain:
-        dclr = [partial_derivative(energy.clearing, j) for j in range(m)]
+    if energy.is_plain:
+        grad_w = dnum
+    else:
+        # Quotient rule D*dN - N*dD for d(N/D), up to the 1/D^2 clearing.
+        grad_w = [
+            dnum[j] * energy.clearing - energy.num * partial_derivative(energy.clearing, j)
+            for j in range(m)
+        ]
     out = []
     for a in range(len(comps)):
         total = Expr.zero(m)
@@ -264,11 +254,7 @@ def _tension_components(
                 gij = domain.g_upper[i][j]
                 if not gij.terms:
                     continue
-                if plain:
-                    grad_w = dnum[j]
-                else:
-                    grad_w = dnum[j] * energy.clearing - energy.num * dclr[j]
-                total = total + gij * jac[a][i] * grad_w
+                total = total + gij * jac[a][i] * grad_w[j]
         out.append(total)
     clearing = energy.clearing * energy.clearing
     return tuple(out), clearing, energy

@@ -25,6 +25,25 @@ independent over rational-coefficient trig polynomials, and the
 sin-reduced trig monomials are linearly independent over the polynomial
 ring.  ``is_zero`` is therefore a structural check.
 
+The iteration order of ``Expr.terms`` is part of the contract: float
+evaluation sums the terms in that order, so a different order can change
+the last bits of a value and flip a verdict near a numeric threshold.  A
+product visits the pairs of terms in nested term order and lists each
+output monomial where it was first inserted; a running sum that reaches
+zero is dropped, and a later contribution re-inserts it at the end.
+
+Multiplication is one integer kernel for every kind of term:
+
+* each operand's coefficients are scaled to integer numerators over that
+  operand's lcm denominator, and the product sums ``na*nb`` in Python ints;
+* each coordinate tuple is packed into one int, with a field width taken
+  from the operands, ``(max power of a + max power of b).bit_length()``,
+  so a field never carries and packed keys add like coordinate tuples;
+* the exp-key sum and the sin^2 reduction depend only on the
+  ``(expkey, trig)`` parts of two terms, so they are computed once per
+  distinct pair of parts in a product and replayed for every term pair;
+* each output term is unpacked and given its ``Fraction`` coefficient once.
+
 All values are immutable after construction and all operations are pure;
 expressions may be shared freely across threads.
 """
@@ -92,6 +111,10 @@ def _coords_mul(a: Coords, b: Coords) -> Coords:
 
 
 def _key_add(a: PolyKey, b: PolyKey) -> PolyKey:
+    if not a:
+        return b
+    if not b:
+        return a
     acc = dict(a)
     for mono, c in b:
         s = acc.get(mono, ZERO) + c
@@ -115,14 +138,22 @@ def _key_partial(key: PolyKey, i: int) -> PolyKey:
     return tuple(sorted((m, c) for m, c in out.items() if c != 0))
 
 
-def _key_eval(key: PolyKey, point: Sequence[Fraction]) -> Fraction:
-    total = ZERO
+def _key_float(key: PolyKey, point: Sequence[Fraction]) -> float:
+    """float of the exact value of the polynomial key at a rational point.
+
+    The sum is kept as one unreduced integer ratio; true division of ints is
+    correctly rounded, so this equals float() of the reduced Fraction sum.
+    """
+    num, den = 0, 1
     for coords, c in key:
-        v = c
+        n, d = c.numerator, c.denominator
         for i, p in coords:
-            v *= point[i] ** p
-        total += v
-    return total
+            x = point[i]
+            n *= x.numerator ** p
+            d *= x.denominator ** p
+        num = num * d + n * den
+        den *= d
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +249,7 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        acc: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                _accumulate_product(acc, m1, m2, c1 * c2)
-        return Expr(self.nvars, {m: c for m, c in acc.items() if c != 0})
+        return Expr(self.nvars, _product(self.terms, o.terms))
 
     __rmul__ = __mul__
 
@@ -253,61 +280,139 @@ class Expr:
         return None
 
 
-def _reduce_sin(mono: Mono, coeff: Fraction, out: dict[Mono, Fraction]) -> None:
-    """Accumulate coeff*mono into out, rewriting sin^2 -> 1 - cos^2 until sin powers <= 1."""
-    work = [(mono, coeff)]
+def _reduced_trig(trig: Trig) -> tuple[tuple[Trig, int], ...]:
+    """Rewrite sin^2 -> 1 - cos^2 until sin powers <= 1.
+
+    Returns the reduced trig parts with their signs, in the order in which
+    they are accumulated; a part may appear more than once.
+    """
+    if not trig:
+        return (((), 1),)
+    out = []
+    work = [(trig, 1)]
     while work:
-        (coords, expk, trig), c = work.pop()
-        hot = next((t for t in trig if t[2] >= 2), None)
+        tr, sign = work.pop()
+        hot = next((t for t in tr if t[2] >= 2), None)
         if hot is None:
-            clean = tuple(t for t in trig if t[1] or t[2])
-            m = (coords, expk, clean)
-            s = out.get(m, ZERO) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out.append((tuple(t for t in tr if t[1] or t[2]), sign))
             continue
         i, cp, sp = hot
-        rest = tuple(t for t in trig if t[0] != i)
-        low = tuple(sorted(rest + ((i, cp, sp - 2),)))
-        high = tuple(sorted(rest + ((i, cp + 2, sp - 2),)))
-        work.append(((coords, expk, low), c))
-        work.append(((coords, expk, high), -c))
+        rest = tuple(t for t in tr if t[0] != i)
+        work.append((tuple(sorted(rest + ((i, cp, sp - 2),))), sign))
+        work.append((tuple(sorted(rest + ((i, cp + 2, sp - 2),))), -sign))
+    return tuple(out)
 
 
-def _accumulate_product(
-    acc: dict[Mono, Fraction], m1: Mono, m2: Mono, coeff: Fraction
-) -> None:
-    coords = _coords_mul(m1[0], m2[0])
-    expk = _key_add(m1[1], m2[1])
-    if m1[2] or m2[2]:
-        tr = dict()
-        for i, cp, sp in m1[2]:
-            tr[i] = (cp, sp)
-        for i, cp, sp in m2[2]:
-            a, b = tr.get(i, (0, 0))
-            tr[i] = (a + cp, b + sp)
-        trig = tuple(sorted((i, cp, sp) for i, (cp, sp) in tr.items()))
-    else:
-        trig = ()
-    _reduce_sin((coords, expk, trig), coeff, acc)
+def _reduce_sin(mono: Mono, coeff: Fraction, out: dict[Mono, Fraction]) -> None:
+    """Accumulate coeff*mono into out, rewriting sin^2 -> 1 - cos^2 until sin powers <= 1."""
+    coords, expk, trig = mono
+    for tr, sign in _reduced_trig(trig):
+        m = (coords, expk, tr)
+        s = out.get(m, ZERO) + (coeff if sign > 0 else -coeff)
+        if s == 0:
+            out.pop(m, None)
+        else:
+            out[m] = s
+
+
+def _trig_mul(a: Trig, b: Trig) -> Trig:
+    if not a:
+        return b
+    if not b:
+        return a
+    tr = {i: (cp, sp) for i, cp, sp in a}
+    for i, cp, sp in b:
+        c0, s0 = tr.get(i, (0, 0))
+        tr[i] = (c0 + cp, s0 + sp)
+    return tuple(sorted((i, cp, sp) for i, (cp, sp) in tr.items()))
+
+
+def _operand(terms: dict[Mono, Fraction]):
+    """Common denominator, largest coordinate power, distinct (expkey, trig) parts, and per-term rows."""
+    den = 1
+    top = 0
+    parts: dict[tuple[PolyKey, Trig], int] = {}
+    rows = []
+    for (coords, expk, trig), c in terms.items():
+        d = c.denominator
+        if den % d:
+            den = den * d // math.gcd(den, d)
+        for _, p in coords:
+            if p > top:
+                top = p
+        rows.append((coords, c, parts.setdefault((expk, trig), len(parts))))
+    return den, top, parts, rows
+
+
+def _pack(coords: Coords, width: int) -> int:
+    key = 0
+    for i, p in coords:
+        key += p << (i * width)
+    return key
+
+
+def _product(ta: dict[Mono, Fraction], tb: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    """Canonical terms of the product of two term maps (see the module docstring)."""
+    if not ta or not tb:
+        return {}
+    da, top_a, parts_a, rows_a = _operand(ta)
+    db, top_b, parts_b, rows_b = _operand(tb)
+    width = (top_a + top_b).bit_length()
+    # Exp-key sum and sin reduction, once per distinct pair of parts.  Each
+    # output part gets an index j; table[ia][ib] replays the pair as (j, sign).
+    out_parts: dict[tuple[PolyKey, Trig], int] = {}
+    table = []
+    for ea, ra in parts_a:
+        row = []
+        for eb, rb in parts_b:
+            expk = _key_add(ea, eb)
+            row.append([
+                (out_parts.setdefault((expk, tr), len(out_parts)), sign)
+                for tr, sign in _reduced_trig(_trig_mul(ra, rb))
+            ])
+        table.append(row)
+    # A key is packed coords * nparts + j.  Coordinate fields cannot carry:
+    # each is at most top_a + top_b < 2**width.
+    nparts = len(out_parts)
+    b_terms = [
+        (_pack(coords, width) * nparts, c.numerator * (db // c.denominator), ib)
+        for coords, c, ib in rows_b
+    ]
+    flat = [
+        [(kb + j, nb if sign > 0 else -nb) for kb, nb, ib in b_terms for j, sign in row[ib]]
+        for row in table
+    ]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for coords, c, ia in rows_a:
+        ka = _pack(coords, width) * nparts
+        na = c.numerator * (da // c.denominator)
+        for kb, nb in flat[ia]:
+            k = ka + kb
+            s = get(k, 0) + na * nb
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    den = da * db
+    mask = (1 << width) - 1
+    part_list = list(out_parts)
+    out: dict[Mono, Fraction] = {}
+    for k, n in acc.items():
+        packed, j = divmod(k, nparts)
+        coords = []
+        i = 0
+        while packed:
+            if packed & mask:
+                coords.append((i, packed & mask))
+            packed >>= width
+            i += 1
+        out[(tuple(coords), *part_list[j])] = Fraction(n, den)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # core operations
-
-
-def add(a: Expr, b: Expr) -> Expr:
-    return a + b
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    return a * b
-
-
-def neg(a: Expr) -> Expr:
-    return -a
 
 
 def is_zero(e: Expr) -> bool:
@@ -430,29 +535,41 @@ def substitute(e: Expr, images: Sequence[Expr]) -> Expr:
     return out
 
 
+def _rational_point(point: Sequence) -> list[Fraction]:
+    return [x if isinstance(x, Fraction) else Fraction(x) for x in point]
+
+
 def evaluate(e: Expr, point: Sequence) -> float:
     """Evaluate at a rational point in double precision."""
-    pt = [Fraction(x) for x in point]
+    pt = _rational_point(point)
     if len(pt) != e.nvars:
         raise DimensionError(f"expected {e.nvars} coordinates, got {len(pt)}")
+    if not e.terms:
+        return 0.0
+    fl = [x.numerator / x.denominator for x in pt]
     total = 0.0
     for mono, c in e.terms.items():
-        total += _eval_mono(mono, c, pt)
+        total += _eval_mono(mono, c, pt, fl)
     return total
 
 
-def _eval_mono(mono: Mono, coeff: Fraction, pt: Sequence[Fraction]) -> float:
+def _eval_mono(mono: Mono, coeff: Fraction, pt: Sequence[Fraction], fl: Sequence[float]) -> float:
+    """One monomial's value in floats; fl[i] is float(pt[i]).
+
+    ``n / d`` on the integer parts is exactly how float() converts a Fraction.
+    The exponent is evaluated exactly and rounded once.
+    """
     coords, expk, trig = mono
-    v = float(coeff)
+    v = coeff.numerator / coeff.denominator
     for i, p in coords:
-        v *= float(pt[i]) ** p
+        v *= fl[i] ** p
     if expk:
         try:
-            v *= math.exp(float(_key_eval(expk, pt)))
+            v *= math.exp(_key_float(expk, pt))
         except OverflowError:
             v = math.inf if v > 0 else -math.inf
     for i, cp, sp in trig:
-        x = float(pt[i])
+        x = fl[i]
         if cp:
             v *= math.cos(x) ** cp
         if sp:
@@ -491,16 +608,17 @@ def evaluate_float(e: Expr, point: Sequence[float]) -> float:
 
 def max_term_magnitude(e: Expr, point: Sequence) -> float:
     """Largest |monomial value| at the point; used to normalize numeric tolerances."""
-    pt = [Fraction(x) for x in point]
+    pt = _rational_point(point)
+    fl = [x.numerator / x.denominator for x in pt]
     best = 0.0
     for mono, c in e.terms.items():
-        best = max(best, abs(_eval_mono(mono, c, pt)))
+        best = max(best, abs(_eval_mono(mono, c, pt, fl)))
     return best
 
 
 def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
     """Exact evaluation; raises UnsupportedExpressionError on exp/cos/sin terms."""
-    pt = [Fraction(x) for x in point]
+    pt = _rational_point(point)
     if len(pt) != e.nvars:
         raise DimensionError(f"expected {e.nvars} coordinates, got {len(pt)}")
     total = ZERO

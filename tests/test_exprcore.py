@@ -1,5 +1,7 @@
 """Expression arithmetic: worked examples and the ring/calculus invariants."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -21,7 +23,7 @@ from infharm.exprcore import (
     to_string,
 )
 
-from conftest import random_expr, random_point, random_polynomial
+from conftest import rand_coeff, random_expr, random_point, random_polynomial
 
 
 def x(n, i):
@@ -128,6 +130,38 @@ class TestEvaluation:
         e = exp_of(2 * z) + exp_of(-2 * z)
         assert evaluate(e, [0, 0, 0]) == pytest.approx(2.0)
 
+    def test_float_values_match_a_fraction_reference_bit_for_bit(self):
+        # Reference: every coordinate and the exponent pass through Fraction,
+        # then float(), monomial by monomial in term order.
+        def reference(e, point):
+            total = 0.0
+            for (coords, expk, trig), c in e.terms.items():
+                v = float(c)
+                for i, p in coords:
+                    v *= float(Fraction(point[i])) ** p
+                if expk:
+                    arg = sum(kc * math.prod(Fraction(point[i]) ** p for i, p in kcoords) for kcoords, kc in expk)
+                    try:
+                        v *= math.exp(float(arg))
+                    except OverflowError:
+                        v = math.inf if v > 0 else -math.inf
+                for i, cp, sp in trig:
+                    if cp:
+                        v *= math.cos(float(Fraction(point[i]))) ** cp
+                    if sp:
+                        v *= math.sin(float(Fraction(point[i]))) ** sp
+                total += v
+            return total
+
+        rng = Random(909)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            e = random_expr(rng, n, terms=5)
+            if rng.random() < 0.2:
+                e = e * exp_of(rng.randint(300, 900) * x(n, 0))
+            point = [Fraction(rng.randint(-64, 64), rng.choice([1, 3, 64, 1000])) for _ in range(n)]
+            assert evaluate(e, point).hex() == reference(e, point).hex()
+
     def test_exact_path_rejects_transcendentals(self):
         with pytest.raises(UnsupportedExpressionError):
             evaluate_exact(cos_of(1, 0), [Fraction(0)])
@@ -229,3 +263,131 @@ class TestNumericGuards:
         from infharm.exprcore import max_term_magnitude
 
         assert max_term_magnitude(Expr.zero(2), [0, 0]) == 0.0
+
+
+def reference_product(a, b, seen=None):
+    """The per-pair Fraction product, kept as an oracle for the integer kernel.
+
+    Every pair of terms is multiplied in term order and accumulated at once,
+    with sin^2 rewritten to 1 - cos^2.  A running sum that reaches zero is
+    removed and re-inserted at the end if it comes back.  `seen` counts the
+    sin^2 rewrites, the cancellations and the reappearances.
+    """
+    seen = Counter() if seen is None else seen
+    acc = {}
+    cancelled = set()
+    for (ca, ea, ta), c1 in a.terms.items():
+        for (cb, eb, tb), c2 in b.terms.items():
+            coords = dict(ca)
+            for i, p in cb:
+                coords[i] = coords.get(i, 0) + p
+            expk = dict(ea)
+            for key, c in eb:
+                s = expk.get(key, 0) + c
+                if s:
+                    expk[key] = s
+                else:
+                    del expk[key]
+            trig = {i: (cp, sp) for i, cp, sp in ta}
+            for i, cp, sp in tb:
+                c0, s0 = trig.get(i, (0, 0))
+                trig[i] = (c0 + cp, s0 + sp)
+            co, ek = tuple(sorted(coords.items())), tuple(sorted(expk.items()))
+            work = [(tuple(sorted((i, cp, sp) for i, (cp, sp) in trig.items())), c1 * c2)]
+            while work:
+                tr, c = work.pop()
+                hot = next((t for t in tr if t[2] >= 2), None)
+                if hot is not None:
+                    seen["sin2"] += 1
+                    i, cp, sp = hot
+                    rest = tuple(t for t in tr if t[0] != i)
+                    work.append((tuple(sorted(rest + ((i, cp, sp - 2),))), c))
+                    work.append((tuple(sorted(rest + ((i, cp + 2, sp - 2),))), -c))
+                    continue
+                mono = (co, ek, tuple(t for t in tr if t[1] or t[2]))
+                if mono not in acc and mono in cancelled:
+                    seen["reappeared"] += 1
+                s = acc.get(mono, 0) + c
+                if s == 0:
+                    del acc[mono]
+                    cancelled.add(mono)
+                    seen["cancelled"] += 1
+                else:
+                    acc[mono] = s
+    return acc
+
+
+def kernel_operand(rng, n):
+    """A random sum of polynomial, exp(poly), cos and sin terms with cancelling coefficients."""
+    total = Expr.zero(n)
+    for _ in range(rng.randint(1, 5)):
+        t = Expr.const(n, rng.choice([1, -1, 2, -2, Fraction(1, 2), rand_coeff(rng)]) or 1)
+        for _ in range(rng.randint(0, 3)):
+            t = t * x(n, rng.randrange(n))
+        if rng.random() < 0.3:
+            t = t * exp_of(rng.choice([1, -1, 2]) * x(n, rng.randrange(n)))
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(n)
+            t = t * (sin_of(n, i) if rng.random() < 0.6 else cos_of(n, i))
+        total = total + t
+    return total
+
+
+def sign_flipped(rng, e):
+    return Expr(e.nvars, {m: c if rng.random() < 0.5 else -c for m, c in e.terms.items()})
+
+
+class TestProductKernel:
+    def test_matches_per_pair_reference_in_contents_and_order(self):
+        rng = Random(808)
+        seen = Counter()
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            a, b = kernel_operand(rng, n), kernel_operand(rng, n)
+            r = rng.random()
+            if r < 0.25:
+                b = b + a
+            elif r < 0.5:
+                b = sign_flipped(rng, a) + b
+            elif r < 0.75:
+                # A shared factor makes one monomial arise from many pairs.
+                c = kernel_operand(rng, n)
+                a, b = a * c, sign_flipped(rng, b * c)
+            assert list((a * b).terms.items()) == list(reference_product(a, b, seen).items())
+        # The data must exercise the order-sensitive paths.
+        assert seen["sin2"] > 1000
+        assert seen["cancelled"] > 1000
+        assert seen["reappeared"] > 50
+
+    def test_reappearing_term_moves_to_the_end(self):
+        x1, x2 = x(2, 0), x(2, 1)
+        a = x1 + x2 + x1 * x2
+        b = x2 - x1 + 1
+        got = list((a * b).terms.items())
+        assert got == list(reference_product(a, b).items())
+        assert got[-1] == ((((0, 1), (1, 1)), (), ()), 1)
+
+    def test_field_width_follows_the_operands(self):
+        big = x(1, 0) ** 70000
+        assert (big * big).terms == {(((0, 140000),), (), ()): 1}
+        x1, x2 = x(2, 0), x(2, 1)
+        got = (x1 ** 65535 + x2) * (x1 + x2 ** 65535)
+        assert got.terms == {
+            (((0, 65536),), (), ()): 1,
+            (((0, 65535), (1, 65535)), (), ()): 1,
+            (((0, 1), (1, 1)), (), ()): 1,
+            (((1, 65536),), (), ()): 1,
+        }
+
+    def test_cancelled_cross_terms_are_not_stored(self):
+        x1, x2 = x(2, 0), x(2, 1)
+        got = (x1 - x2) * (x1 + x2)
+        assert got == x1 ** 2 - x2 ** 2
+        assert len(got.terms) == 2 and all(c != 0 for c in got.terms.values())
+
+    def test_coefficients_stay_reduced_fractions(self):
+        a = Fraction(2, 3) * x(1, 0) + Fraction(5, 6)
+        b = Fraction(3, 4) * x(1, 0) - Fraction(3, 5)
+        got = a * b
+        assert got.terms == reference_product(a, b)
+        assert all(type(c) is Fraction for c in got.terms.values())
