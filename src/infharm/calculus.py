@@ -12,10 +12,15 @@ without the 1/2 prefactor; the p-tension identity
 ``tau_p = |dphi|^{p-2} tau_2 + (p-2) |dphi|^{p-4} tau_inf`` holds with
 ``tau_inf`` equal to half the reported components, and the p=4 suite pins
 that convention against an independent divergence-form computation.
+
+Every scalar contraction ``g^{ij} u_i v_j`` goes through ``_contract``, in
+fixed (i, j) order, because the order of ``Expr.terms`` is part of the
+expression contract and the witness floats in the reports depend on it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -96,6 +101,22 @@ def _check_dims(domain: ModelSpace, codomain: ModelSpace, comps: Sequence[Expr])
             )
 
 
+def _jacobian(comps: Sequence[Expr], m: int) -> list[list[Expr]]:
+    """jac[a][i] = d_i phi^a."""
+    return [[partial_derivative(c, i) for i in range(m)] for c in comps]
+
+
+def _contract(space: ModelSpace, u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
+    """g^{ij} u_i v_j, summed over nonzero inverse-metric entries in (i, j) order."""
+    total = Expr.zero(space.dim)
+    for i in range(space.dim):
+        for j in range(space.dim):
+            gij = space.g_upper[i][j]
+            if gij.terms:
+                total = total + gij * u[i] * v[j]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # scalar operators
 
@@ -121,13 +142,7 @@ def metric_gradient(space: ModelSpace, f: Expr) -> tuple[Expr, ...]:
 def gradient_norm_squared(space: ModelSpace, f: Expr) -> Expr:
     """|grad f|^2_g = g^{ij} f_i f_j (polynomial class for catalog spaces)."""
     partials = [partial_derivative(f, j) for j in range(space.dim)]
-    total = Expr.zero(space.dim)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            gij = space.g_upper[i][j]
-            if gij.terms:
-                total = total + gij * partials[i] * partials[j]
-    return total
+    return _contract(space, partials, partials)
 
 
 def infinity_laplacian(space: ModelSpace, u: Expr) -> Expr:
@@ -135,52 +150,37 @@ def infinity_laplacian(space: ModelSpace, u: Expr) -> Expr:
     w = gradient_norm_squared(space, u)
     du = [partial_derivative(u, j) for j in range(space.dim)]
     dw = [partial_derivative(w, j) for j in range(space.dim)]
+    return _contract(space, du, dw) * Fraction(1, 2)
+
+
+def _hessian_against(space: ModelSpace, u: Expr, weight) -> ClearedExpr:
+    """sum_ij weight[i][j] Hess_u(d_i, d_j), cleared by the connection scale."""
+    table = christoffel(space)
+    du = [partial_derivative(u, k) for k in range(space.dim)]
     total = Expr.zero(space.dim)
-    for a in range(space.dim):
-        for b in range(space.dim):
-            gab = space.g_upper[a][b]
-            if gab.terms:
-                total = total + gab * du[a] * dw[b]
-    return total * Fraction(1, 2)
+    for i in range(space.dim):
+        for j in range(space.dim):
+            wij = weight[i][j]
+            if not wij.terms:
+                continue
+            hij = table.scale * partial_derivative(du[i], j)
+            for k in range(space.dim):
+                gk = table.gamma[k][i][j]
+                if gk.terms:
+                    hij = hij - gk * du[k]
+            total = total + wij * hij
+    return ClearedExpr(num=total, clearing=table.scale)
 
 
 def hessian_form(space: ModelSpace, u: Expr) -> ClearedExpr:
     """Hess_u(grad u, grad u), cleared by the connection scale."""
-    table = christoffel(space)
     v = metric_gradient(space, u)
-    du = [partial_derivative(u, k) for k in range(space.dim)]
-    total = Expr.zero(space.dim)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            vij = v[i] * v[j]
-            if not vij.terms:
-                continue
-            hij = table.scale * partial_derivative(du[i], j)
-            for k in range(space.dim):
-                gk = table.gamma[k][i][j]
-                if gk.terms:
-                    hij = hij - gk * du[k]
-            total = total + vij * hij
-    return ClearedExpr(num=total, clearing=table.scale)
+    return _hessian_against(space, u, [[vi * vj for vj in v] for vi in v])
 
 
 def laplace_beltrami(space: ModelSpace, u: Expr) -> ClearedExpr:
     """Trace of the Hessian, cleared by the connection scale."""
-    table = christoffel(space)
-    du = [partial_derivative(u, k) for k in range(space.dim)]
-    total = Expr.zero(space.dim)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            gij = space.g_upper[i][j]
-            if not gij.terms:
-                continue
-            hij = table.scale * partial_derivative(du[i], j)
-            for k in range(space.dim):
-                gk = table.gamma[k][i][j]
-                if gk.terms:
-                    hij = hij - gk * du[k]
-            total = total + gij * hij
-    return ClearedExpr(num=total, clearing=table.scale)
+    return _hessian_against(space, u, space.g_upper)
 
 
 def p_laplacian(space: ModelSpace, u: Expr, p: int) -> ClearedExpr:
@@ -211,21 +211,13 @@ def energy_density(domain: ModelSpace, codomain: ModelSpace, phi) -> ClearedExpr
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
     m, n = domain.dim, codomain.dim
-    jac = [[partial_derivative(comps[a], i) for i in range(m)] for a in range(n)]
+    jac = _jacobian(comps, m)
     num = Expr.zero(m)
     for a in range(n):
         for b in range(n):
             hab = codomain.g_lower[a][b]
-            if not hab.terms:
-                continue
-            hab_phi = substitute(hab, comps)
-            pair = Expr.zero(m)
-            for i in range(m):
-                for j in range(m):
-                    gij = domain.g_upper[i][j]
-                    if gij.terms:
-                        pair = pair + gij * jac[a][i] * jac[b][j]
-            num = num + pair * hab_phi
+            if hab.terms:
+                num = num + _contract(domain, jac[a], jac[b]) * substitute(hab, comps)
     clearing = substitute(codomain.lower_scale, comps)
     return ClearedExpr(num=num, clearing=clearing)
 
@@ -236,7 +228,7 @@ def _tension_components(
     """Cleared tension components, their clearing, and the cleared energy."""
     energy = energy_density(domain, codomain, comps)
     m = domain.dim
-    jac = [[partial_derivative(c, i) for i in range(m)] for c in comps]
+    jac = _jacobian(comps, m)
     dnum = [partial_derivative(energy.num, j) for j in range(m)]
     if energy.is_plain:
         grad_w = dnum
@@ -246,18 +238,8 @@ def _tension_components(
             dnum[j] * energy.clearing - energy.num * partial_derivative(energy.clearing, j)
             for j in range(m)
         ]
-    out = []
-    for a in range(len(comps)):
-        total = Expr.zero(m)
-        for i in range(m):
-            for j in range(m):
-                gij = domain.g_upper[i][j]
-                if not gij.terms:
-                    continue
-                total = total + gij * jac[a][i] * grad_w[j]
-        out.append(total)
-    clearing = energy.clearing * energy.clearing
-    return tuple(out), clearing, energy
+    out = tuple(_contract(domain, row, grad_w) for row in jac)
+    return out, energy.clearing * energy.clearing, energy
 
 
 def _child_seed(seed: int, tag: str) -> int:
@@ -276,7 +258,9 @@ def sample_points(
     ]
 
 
-def _witness_candidates(nvars: int) -> list[tuple[Fraction, ...]]:
+@functools.cache
+def _witness_candidates(nvars: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The same fixed points for every call, so they are built once per nvars."""
     ones = tuple(Fraction(1) for _ in range(nvars))
     candidates = [ones]
     for i in range(nvars):
@@ -285,7 +269,7 @@ def _witness_candidates(nvars: int) -> list[tuple[Fraction, ...]]:
             pt[i] = Fraction(s)
             candidates.append(tuple(pt))
     candidates.extend(sample_points(nvars, 200, WITNESS_SEED, denominator=8))
-    return candidates
+    return tuple(candidates)
 
 
 def _find_witness(components: Sequence[Expr], nvars: int) -> Witness:
@@ -338,42 +322,22 @@ def infinity_tension(
     _check_dims(domain, codomain, comps)
     try:
         components, clearing, energy = _tension_components(domain, codomain, comps)
-        symbolic_ok = True
     except UnsupportedExpressionError:
-        symbolic_ok = False
-    if symbolic_ok and mode == "exact":
-        if all(is_zero(c) for c in components):
-            return TensionReport(
-                energy_density=energy.num,
-                energy_clearing=energy.clearing,
-                components=components,
-                tension_clearing=clearing,
-                verdict="zero",
-                witness=None,
-                mode="exact",
-            )
-        return TensionReport(
-            energy_density=energy.num,
-            energy_clearing=energy.clearing,
-            components=components,
-            tension_clearing=clearing,
-            verdict="nonzero",
-            witness=_find_witness(components, domain.dim),
-            mode="exact",
-        )
-    if symbolic_ok:
+        return _numeric_tension_report(domain, codomain, comps, seed)
+    exact = mode == "exact"
+    if exact:
+        zero = all(is_zero(c) for c in components)
+    else:
         zero = numeric_zero_check(components, domain.dim, seed=seed)
-        witness = None if zero else _find_witness(components, domain.dim)
-        return TensionReport(
-            energy_density=energy.num,
-            energy_clearing=energy.clearing,
-            components=components,
-            tension_clearing=clearing,
-            verdict="zero" if zero else "nonzero",
-            witness=witness,
-            mode="numeric",
-        )
-    return _numeric_tension_report(domain, codomain, comps, seed)
+    return TensionReport(
+        energy_density=energy.num,
+        energy_clearing=energy.clearing,
+        components=components,
+        tension_clearing=clearing,
+        verdict="zero" if zero else "nonzero",
+        witness=None if zero else _find_witness(components, domain.dim),
+        mode="exact" if exact else "numeric",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +362,7 @@ class NumericTension:
         self.codomain = codomain
         self.comps = comps
         self.m, self.n = m, n
-        self.jac = [[partial_derivative(comps[a], i) for i in range(m)] for a in range(n)]
+        self.jac = _jacobian(comps, m)
         self.hess = [
             [[partial_derivative(self.jac[a][i], k) for k in range(m)] for i in range(m)]
             for a in range(n)
@@ -441,23 +405,26 @@ class NumericTension:
                 for g in range(n):
                     dgv = evaluate_float(self.dh[a][b][g], phi_pt)
                     dh_val[g][a][b] = (dgv * d_val - gv * dd_val[g]) / (d_val * d_val)
+        # Metric pairs with a zero value and zero derivatives add nothing.
+        pairs = [
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if not (h_val[a][b] == 0.0 and all(dh_val[g][a][b] == 0.0 for g in range(n)))
+        ]
         wgrad = [0.0] * m
         for k in range(m):
             total = 0.0
             for i in range(m):
                 for j in range(m):
-                    for a in range(n):
-                        for b in range(n):
-                            hab = h_val[a][b]
-                            if hab == 0.0 and all(dh_val[g][a][b] == 0.0 for g in range(n)):
-                                continue
-                            dpart = (
-                                dgu[i][j][k] * jval[a][i] * jval[b][j]
-                                + gu[i][j] * (hval[a][i][k] * jval[b][j] + jval[a][i] * hval[b][j][k])
-                            )
-                            total += dpart * hab
-                            chain = sum(dh_val[g][a][b] * jval[g][k] for g in range(n))
-                            total += gu[i][j] * jval[a][i] * jval[b][j] * chain
+                    for a, b in pairs:
+                        dpart = (
+                            dgu[i][j][k] * jval[a][i] * jval[b][j]
+                            + gu[i][j] * (hval[a][i][k] * jval[b][j] + jval[a][i] * hval[b][j][k])
+                        )
+                        total += dpart * h_val[a][b]
+                        chain = sum(dh_val[g][a][b] * jval[g][k] for g in range(n))
+                        total += gu[i][j] * jval[a][i] * jval[b][j] * chain
             wgrad[k] = total
         values = []
         scale = 0.0
@@ -509,23 +476,14 @@ def _numeric_tension_report(
                 worst_point = pt
                 worst_comp = idx
                 worst_val = val
-    if worst <= NUMERIC_TOL:
-        return TensionReport(
-            energy_density=None,
-            energy_clearing=None,
-            components=None,
-            tension_clearing=None,
-            verdict="zero",
-            witness=None,
-            mode="numeric",
-        )
+    zero = worst <= NUMERIC_TOL
     return TensionReport(
         energy_density=None,
         energy_clearing=None,
         components=None,
         tension_clearing=None,
-        verdict="nonzero",
-        witness=Witness(point=worst_point, component=worst_comp, value=worst_val),
+        verdict="zero" if zero else "nonzero",
+        witness=None if zero else Witness(point=worst_point, component=worst_comp, value=worst_val),
         mode="numeric",
     )
 
@@ -543,7 +501,7 @@ def tension_field(
     m, n = domain.dim, codomain.dim
     tdom = christoffel(domain)
     tcod = christoffel(codomain)
-    jac = [[partial_derivative(comps[a], i) for i in range(m)] for a in range(n)]
+    jac = _jacobian(comps, m)
     sc_phi = substitute(tcod.scale, comps)
     gamma_phi = [
         [[substitute(tcod.gamma[g][a][b], comps) if tcod.gamma[g][a][b].terms else Expr.zero(m)
@@ -574,10 +532,6 @@ def tension_field(
     return tuple(out), clearing
 
 
-def _is_flat_euclidean(space: ModelSpace) -> bool:
-    return space.label.startswith("euclid:")
-
-
 def p_tension(
     domain: ModelSpace, codomain: ModelSpace, phi, p: int
 ) -> tuple[tuple[Expr, ...], Expr]:
@@ -596,7 +550,7 @@ def p_tension(
     if p == 2:
         return tension_field(domain, codomain, comps)
     m = domain.dim
-    if _is_flat_euclidean(domain) and _is_flat_euclidean(codomain):
+    if domain.kind == "euclid" and codomain.kind == "euclid":
         w = energy_density(domain, codomain, comps).num
         wpow = w ** ((p - 2) // 2)
         out = []
@@ -606,18 +560,7 @@ def p_tension(
                 total = total + partial_derivative(wpow * partial_derivative(c, i), i)
             out.append(total)
         return tuple(out), Expr.const(m, 1)
-    t2, c2 = tension_field(domain, codomain, comps)
-    tinf, _, energy = _tension_components(domain, codomain, comps)
-    d = energy.clearing
-    wnum = energy.num
-    half = Fraction(1, 2)
-    out = []
-    wpow = wnum ** ((p - 4) // 2)
-    for g in range(len(comps)):
-        inner = wnum * t2[g] * d + (p - 2) * (tinf[g] * half) * c2
-        out.append(wpow * inner)
-    clearing = d ** (p // 2) * c2
-    return tuple(out), clearing
+    return phm_composed_p_tension(domain, codomain, comps, p)
 
 
 def phm_composed_p_tension(

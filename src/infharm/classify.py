@@ -245,20 +245,32 @@ def matrix_lemma_condition(matrices) -> LemmaCheck:
 # predictors
 
 
-def _kind(space: ModelSpace) -> str:
-    return space.label.split(":")[0]
+# Linear maps between Nil or Sol and R^n (T5.1, T5.2, T6.1, T6.2), keyed by
+# (domain kind, codomain kind): the verdict tag, the pattern name, and the
+# zero patterns in the order they are tried.  Each pattern is a set of the
+# three Nil/Sol coordinate lines (columns of A for a projection, rows for an
+# inclusion) that must vanish, and the name of the route it leaves.  The
+# verdict detail lists every line that some pattern names.
+NIL_SOL_PATTERNS = {
+    ("nil", "euclid"): ("ProjectionThenLinear", "projection", (((0,), "yz"), ((2,), "xy"))),
+    ("euclid", "nil"): ("InclusionForm", "inclusion", (((0,), "yz"), ((1,), "xz"))),
+    ("sol", "euclid"): ("ProjectionThenLinear", "projection", (((2,), "xy"), ((0, 1), "z"))),
+    ("euclid", "sol"): ("InclusionForm", "inclusion", (((2,), "xy"), ((0, 1), "z"))),
+}
+_LINE_NAMES = {
+    "projection": ("first_column", "second_column", "third_column"),
+    "inclusion": ("row1", "row2", "row3"),
+}
 
 
-def _col_zero(A: RatMatrix, j: int) -> bool:
-    return all(row[j] == 0 for row in A)
-
-
-def _row_zero(A: RatMatrix, i: int) -> bool:
-    return all(v == 0 for v in A[i])
-
-
-def _mat_zero(A: RatMatrix) -> bool:
-    return all(v == 0 for row in A for v in row)
+def _predict_nil_sol(A: RatMatrix, tag: str, pattern: str, routes) -> Verdict:
+    lines = mat_transpose(A) if pattern == "projection" else A
+    used = sorted({k for zero, _ in routes for k in zero})
+    det = {_LINE_NAMES[pattern][k]: [str(v) for v in lines[k]] for k in used}
+    for zero, route in routes:
+        if all(v == 0 for k in zero for v in lines[k]):
+            return Verdict(True, tag, {}, detail={pattern: route, **det})
+    return Verdict(False, tag, det)
 
 
 def conformal_linear_residuals(
@@ -296,49 +308,15 @@ def predict_linear(domain: ModelSpace, codomain: ModelSpace, A, b=None) -> Verdi
             f"matrix is {n}x{m}, pair is {domain.label} -> {codomain.label}"
         )
     bvec = tuple(Fraction(v) for v in b) if b is not None else (Fraction(0),) * n
-    dk, ck = _kind(domain), _kind(codomain)
-    if _mat_zero(A):
+    dk, ck = domain.kind, codomain.kind
+    if mat_is_zero(A):
         return Verdict(harmonic=True, tag="ConstantMap", residuals={})
 
     if dk == "euclid" and ck == "euclid":
         return Verdict(harmonic=True, tag="AffineOnly", residuals={})
 
-    if dk == "nil" and ck == "euclid":
-        ok1, ok3 = _col_zero(A, 0), _col_zero(A, 2)
-        det = {"first_column": [str(r[0]) for r in A], "third_column": [str(r[2]) for r in A]}
-        if ok1:
-            return Verdict(True, "ProjectionThenLinear", {}, detail={"projection": "yz", **det})
-        if ok3:
-            return Verdict(True, "ProjectionThenLinear", {}, detail={"projection": "xy", **det})
-        return Verdict(False, "ProjectionThenLinear", det)
-
-    if dk == "euclid" and ck == "nil":
-        det = {"row1": [str(v) for v in A[0]], "row2": [str(v) for v in A[1]]}
-        if _row_zero(A, 0):
-            return Verdict(True, "InclusionForm", {}, detail={"inclusion": "yz", **det})
-        if _row_zero(A, 1):
-            return Verdict(True, "InclusionForm", {}, detail={"inclusion": "xz", **det})
-        return Verdict(False, "InclusionForm", det)
-
-    if dk == "sol" and ck == "euclid":
-        det = {
-            "first_column": [str(r[0]) for r in A],
-            "second_column": [str(r[1]) for r in A],
-            "third_column": [str(r[2]) for r in A],
-        }
-        if _col_zero(A, 2):
-            return Verdict(True, "ProjectionThenLinear", {}, detail={"projection": "xy", **det})
-        if _col_zero(A, 0) and _col_zero(A, 1):
-            return Verdict(True, "ProjectionThenLinear", {}, detail={"projection": "z", **det})
-        return Verdict(False, "ProjectionThenLinear", det)
-
-    if dk == "euclid" and ck == "sol":
-        det = {"row1": [str(v) for v in A[0]], "row2": [str(v) for v in A[1]], "row3": [str(v) for v in A[2]]}
-        if _row_zero(A, 2):
-            return Verdict(True, "InclusionForm", {}, detail={"inclusion": "xy", **det})
-        if _row_zero(A, 0) and _row_zero(A, 1):
-            return Verdict(True, "InclusionForm", {}, detail={"inclusion": "z", **det})
-        return Verdict(False, "InclusionForm", det)
+    if (dk, ck) in NIL_SOL_PATTERNS:
+        return _predict_nil_sol(A, *NIL_SOL_PATTERNS[dk, ck])
 
     if dk == "sphere" and ck == "sphere":
         if any(v != 0 for v in bvec):
@@ -373,7 +351,7 @@ def predict_quadratic(
 ) -> Verdict:
     """Quadratic-family criterion: the quadratic part must vanish outright,
     after which the affine part is governed by the linear predictor."""
-    dk, ck = _kind(domain), _kind(codomain)
+    dk, ck = domain.kind, codomain.kind
     supported = (
         (dk == "euclid" and ck == "euclid")
         or (dk == "euclid" and ck in ("sphere", "sol", "nil"))
@@ -402,9 +380,7 @@ def predict_quadratic(
         if A is not None
         else tuple((Fraction(0),) * m for _ in range(n))
     )
-    linear = predict_linear(domain, codomain, a_mat, b)
-    tag = linear.tag if linear.tag != "AffineOnly" else "AffineOnly"
-    return Verdict(linear.harmonic, tag, linear.residuals, linear.flags, linear.detail)
+    return predict_linear(domain, codomain, a_mat, b)
 
 
 def predict_holomorphic(cmap: ComplexPolyMap) -> Verdict:
@@ -533,7 +509,12 @@ def _counterexample(spec: MapSpec, report: CrossReport) -> dict:
 def falsify_search(
     family: str, domain: ModelSpace, codomain: ModelSpace, trials: int, seed: int
 ) -> SearchOutcome:
-    """Random-coefficient disagreement hunt for one (family, pair)."""
+    """Random-coefficient disagreement hunt for one (family, pair).
+
+    Every sampled map must have a predictor: a trial without one checks
+    nothing, so the search stops with UnsupportedPairError instead of
+    counting it as agreement.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counterexamples = []
@@ -541,6 +522,11 @@ def falsify_search(
         rng = Random(_child_seed(seed, f"falsify:{family}:{trial}"))
         spec = _sample_family(family, domain, codomain, rng)
         report = cross_validate(domain, codomain, spec, seed=_child_seed(seed, f"cv:{trial}"))
+        if report.predicted is None:
+            raise UnsupportedPairError(
+                f"no {family} predictor covers {domain.label} -> {codomain.label}"
+                f" (trial {trial} drew a map it cannot decide)"
+            )
         if report.agree is False or not report.numeric_ok:
             counterexamples.append(_counterexample(spec, report))
     return SearchOutcome(
@@ -559,7 +545,7 @@ def _sample_family(family: str, domain: ModelSpace, codomain: ModelSpace, rng: R
         return affine_map(rand_matrix(rng, n, m, zero_prob=0.35))
     if family == "quadratic":
         quads = [rand_symmetric(rng, m, zero_prob=0.4) for _ in range(n)]
-        if _kind(domain) == "euclid" and _kind(codomain) == "euclid":
+        if domain.kind == "euclid" and codomain.kind == "euclid":
             return quadratic_map(quads, rand_matrix(rng, n, m, 0.5), [rand_rational(rng) for _ in range(n)])
         return quadratic_map(quads)
     if family == "holomorphic":
@@ -582,15 +568,29 @@ def _sample_holomorphic(rng: Random, m: int, n: int) -> ComplexPolyMap:
     if n > 1:
         return _sample_cpoly_map(rng, m, n, 3)
     if rng.random() < 0.5:
-        poly = {}
-        z0 = (rand_rational(rng, 4, 4), rand_rational(rng, 4, 4))
-        if z0 != (Fraction(0), Fraction(0)):
-            poly[(0,) * m] = z0
-        if rng.random() < 0.7 or not poly:
-            lam = rand_rational(rng, 4, 4) or Fraction(2)
-            idx = rng.randrange(m)
-            poly[tuple(1 if k == idx else 0 for k in range(m))] = (lam, Fraction(0))
-        return ComplexPolyMap(m=m, n=1, components=(poly,))
+        return _sample_normal_form(rng, m, lambda: rng.random() < 0.7)
+    return _sample_nonaffine(rng, m)
+
+
+def _sample_normal_form(rng: Random, m: int, want_linear) -> ComplexPolyMap:
+    """lambda z_i + z0 with real lambda, or a constant z0.
+
+    want_linear() is asked after z0 is drawn; the linear term is also added
+    when z0 came out zero.
+    """
+    poly = {}
+    z0 = (rand_rational(rng, 4, 4), rand_rational(rng, 4, 4))
+    if z0 != (Fraction(0), Fraction(0)):
+        poly[(0,) * m] = z0
+    if want_linear() or not poly:
+        lam = rand_rational(rng, 4, 4) or Fraction(2)
+        idx = rng.randrange(m)
+        poly[tuple(1 if k == idx else 0 for k in range(m))] = (lam, Fraction(0))
+    return ComplexPolyMap(m=m, n=1, components=(poly,))
+
+
+def _sample_nonaffine(rng: Random, m: int) -> ComplexPolyMap:
+    """One complex component of degree at least 2."""
     comp = dict(_sample_cpoly_map(rng, m, 1, 3).components[0])
     if cpoly_degree(comp) < 2:
         mono = [0] * m
@@ -643,28 +643,56 @@ def _agree_trial(domain, codomain, spec, seed, theorem, trial):
     return ok, detail
 
 
-def _suite_t22(trial: int, rng: Random, seed: int):
-    m, n = rng.randint(2, 3), rng.randint(1, 3)
-    if trial % 2 == 0:
-        quads = [tuple((Fraction(0),) * m for _ in range(m)) for _ in range(n)]
-    else:
-        quads = [rand_symmetric(rng, m) for _ in range(n)]
-    spec = quadratic_map(quads)
-    dom, cod = build_euclidean(m), build_euclidean(n)
-    return _agree_trial(dom, cod, spec, seed, "T2.2", trial)
+def _catalog_space(kind: str, dim: int | None) -> ModelSpace:
+    return build_space(kind if kind in ("nil", "sol") else f"{kind}:{dim}")
 
 
-def _suite_t23(trial: int, rng: Random, seed: int):
-    m, n = rng.randint(2, 3), rng.randint(1, 3)
-    if trial % 2 == 0:
-        quads = [tuple((Fraction(0),) * m for _ in range(m)) for _ in range(n)]
-    else:
-        quads = [rand_symmetric(rng, m) for _ in range(n)]
-    a = rand_matrix(rng, n, m, 0.3)
-    b = [rand_rational(rng) for _ in range(n)]
-    spec = quadratic_map(quads, a, b)
-    dom, cod = build_euclidean(m), build_euclidean(n)
-    return _agree_trial(dom, cod, spec, seed, "T2.3", trial)
+def _quads(rng: Random, m: int, n: int, zero: bool) -> list[RatMatrix]:
+    if zero:
+        return [tuple((Fraction(0),) * m for _ in range(m)) for _ in range(n)]
+    return [rand_symmetric(rng, m) for _ in range(n)]
+
+
+def _pure_quadratic(rng: Random, m: int, n: int, zero: bool) -> MapSpec:
+    return quadratic_map(_quads(rng, m, n, zero))
+
+
+def _quadratic_affine(rng: Random, m: int, n: int, zero: bool) -> MapSpec:
+    return quadratic_map(
+        _quads(rng, m, n, zero), rand_matrix(rng, n, m, 0.3), [rand_rational(rng) for _ in range(n)]
+    )
+
+
+def _linear(rng: Random, m: int, n: int, zero: bool) -> MapSpec:
+    return affine_map(tuple((Fraction(0),) * m for _ in range(n)) if zero else rand_matrix(rng, n, m, 0.3))
+
+
+def _family_suite(theorem: str, m_range, n_range, pairs, zero_period: int, sample):
+    """Campaign over one map family whose members are harmonic iff constant.
+
+    Each trial draws m, then n (none for a fixed-dimension codomain), takes
+    the next (domain kind, codomain kind) of `pairs`, and samples the zero
+    member in the first half of every `zero_period` trials.
+    """
+
+    def runner(trial: int, rng: Random, seed: int):
+        m = rng.randint(*m_range)
+        n = rng.randint(*n_range) if n_range else None
+        dkind, ckind = pairs[trial % len(pairs)]
+        dom, cod = _catalog_space(dkind, m), _catalog_space(ckind, n)
+        spec = sample(rng, m, cod.dim, trial % zero_period < zero_period // 2)
+        return _agree_trial(dom, cod, spec, seed, theorem, trial)
+
+    return runner
+
+
+_EUCLID_SPHERE = (("euclid", "sphere"), ("sphere", "euclid"))
+_suite_t22 = _family_suite("T2.2", (2, 3), (1, 3), (("euclid", "euclid"),), 2, _pure_quadratic)
+_suite_t23 = _family_suite("T2.3", (2, 3), (1, 3), (("euclid", "euclid"),), 2, _quadratic_affine)
+_suite_t33 = _family_suite("T3.3", (1, 3), (1, 3), _EUCLID_SPHERE, 4, _linear)
+_suite_t41 = _family_suite("T4.1", (1, 3), (1, 3), _EUCLID_SPHERE, 4, _pure_quadratic)
+_suite_t71 = _family_suite("T7.1", (2, 3), None, (("euclid", "sol"),), 2, _pure_quadratic)
+_suite_t72 = _family_suite("T7.2", (2, 3), None, (("euclid", "nil"),), 2, _pure_quadratic)
 
 
 def _suite_l31(trial: int, rng: Random, seed: int):
@@ -680,7 +708,7 @@ def _suite_l31(trial: int, rng: Random, seed: int):
     a = rand_matrix(rng, cod.dim, dom.dim, zero_prob=0.5 if trial % 2 else 1.0)
     spec = affine_map(a)
     residuals = conformal_linear_residuals(dom, cod, spec.A, spec.b)
-    lemma_harmonic = _mat_zero(spec.A) or all(is_zero(r) for r in residuals)
+    lemma_harmonic = mat_is_zero(spec.A) or all(is_zero(r) for r in residuals)
     direct = infinity_tension(dom, cod, spec, seed=_child_seed(seed, f"L3.1:{trial}"))
     ok = lemma_harmonic == direct.is_harmonic
     if ok and direct.verdict == "zero" and direct.components is not None:
@@ -716,134 +744,47 @@ def _suite_t32(trial: int, rng: Random, seed: int):
     return _agree_trial(dom, cod, spec, seed, "T3.2", trial)
 
 
-def _suite_t33(trial: int, rng: Random, seed: int):
-    m, n = rng.randint(1, 3), rng.randint(1, 3)
-    if trial % 2 == 0:
-        dom, cod = build_euclidean(m), build_space(f"sphere:{n}")
-    else:
-        dom, cod = build_space(f"sphere:{m}"), build_euclidean(n)
-    a = (
-        tuple((Fraction(0),) * m for _ in range(n))
-        if trial % 4 < 2
-        else rand_matrix(rng, n, m, 0.3)
-    )
-    spec = affine_map(a)
-    return _agree_trial(dom, cod, spec, seed, "T3.3", trial)
-
-
-def _suite_t41(trial: int, rng: Random, seed: int):
-    m, n = rng.randint(1, 3), rng.randint(1, 3)
-    if trial % 2 == 0:
-        dom, cod = build_euclidean(m), build_space(f"sphere:{n}")
-    else:
-        dom, cod = build_space(f"sphere:{m}"), build_euclidean(n)
-    if trial % 4 < 2:
-        quads = [tuple((Fraction(0),) * m for _ in range(m)) for _ in range(n)]
-    else:
-        quads = [rand_symmetric(rng, m) for _ in range(n)]
-    spec = quadratic_map(quads)
-    return _agree_trial(dom, cod, spec, seed, "T4.1", trial)
-
-
-def _nil_sol_pattern(rng: Random, n: int, zero_cols: tuple[int, ...], free_cols: tuple[int, ...]):
-    """n x 3 matrix, required columns zero, at least one free-column entry nonzero."""
-    a = [[Fraction(0)] * 3 for _ in range(n)]
-    for i in range(n):
-        for j in free_cols:
+def _pattern_matrix(rng: Random, shape: tuple[int, int], rows, cols) -> RatMatrix:
+    """Matrix of `shape` that vanishes outside rows x cols and has a nonzero entry inside."""
+    a = [[Fraction(0)] * shape[1] for _ in range(shape[0])]
+    for i in rows:
+        for j in cols:
             if rng.random() >= 0.4:
                 a[i][j] = rand_rational(rng)
-    if all(a[i][j] == 0 for i in range(n) for j in free_cols):
-        a[rng.randrange(n)][rng.choice(free_cols)] = rand_rational(rng) or Fraction(1)
+    if all(a[i][j] == 0 for i in rows for j in cols):
+        a[rng.choice(rows)][rng.choice(cols)] = rand_rational(rng) or Fraction(1)
     return tuple(tuple(row) for row in a)
 
 
-def _suite_t51(trial: int, rng: Random, seed: int):
-    n = rng.randint(2, 3)
-    dom, cod = build_space("nil"), build_euclidean(n)
-    branch = trial % 4
-    if branch == 0:
-        a = _nil_sol_pattern(rng, n, (0,), (1, 2))          # pi_2(x,y,z) = (y,z) route
-    elif branch == 1:
-        a = _nil_sol_pattern(rng, n, (2,), (0, 1))          # pi_1(x,y,z) = (x,y) route
-    else:
-        a = rand_matrix(rng, n, 3, 0.3)
-    spec = affine_map(a)
-    return _agree_trial(dom, cod, spec, seed, "T5.1", trial)
+def _nil_sol_suite(theorem: str, dkind: str, ckind: str, dims: tuple[int, int]):
+    """Campaign over linear maps between Nil or Sol and R^k, k drawn from dims.
+
+    Trials cycle through the zero patterns of NIL_SOL_PATTERNS, then two
+    random matrices.
+    """
+    _, pattern, routes = NIL_SOL_PATTERNS[dkind, ckind]
+
+    def runner(trial: int, rng: Random, seed: int):
+        k = rng.randint(*dims)
+        dom, cod = _catalog_space(dkind, k), _catalog_space(ckind, k)
+        branch = trial % 4
+        if branch < len(routes):
+            free = tuple(j for j in range(3) if j not in routes[branch][0])
+            if pattern == "projection":
+                a = _pattern_matrix(rng, (k, 3), range(k), free)
+            else:
+                a = _pattern_matrix(rng, (3, k), free, range(k))
+        else:
+            a = rand_matrix(rng, cod.dim, dom.dim, 0.3)
+        return _agree_trial(dom, cod, affine_map(a), seed, theorem, trial)
+
+    return runner
 
 
-def _row_pattern(rng: Random, m: int, zero_rows: tuple[int, ...], free_rows: tuple[int, ...]):
-    a = [[Fraction(0)] * m for _ in range(3)]
-    for i in free_rows:
-        for j in range(m):
-            if rng.random() >= 0.4:
-                a[i][j] = rand_rational(rng)
-    if all(a[i][j] == 0 for i in free_rows for j in range(m)):
-        a[rng.choice(free_rows)][rng.randrange(m)] = rand_rational(rng) or Fraction(1)
-    return tuple(tuple(row) for row in a)
-
-
-def _suite_t52(trial: int, rng: Random, seed: int):
-    m = rng.randint(2, 4)
-    dom, cod = build_euclidean(m), build_space("nil")
-    branch = trial % 4
-    if branch == 0:
-        a = _row_pattern(rng, m, (0,), (1, 2))
-    elif branch == 1:
-        a = _row_pattern(rng, m, (1,), (0, 2))
-    else:
-        a = rand_matrix(rng, 3, m, 0.3)
-    spec = affine_map(a)
-    return _agree_trial(dom, cod, spec, seed, "T5.2", trial)
-
-
-def _suite_t61(trial: int, rng: Random, seed: int):
-    n = rng.randint(2, 3)
-    dom, cod = build_space("sol"), build_euclidean(n)
-    branch = trial % 4
-    if branch == 0:
-        a = _nil_sol_pattern(rng, n, (2,), (0, 1))          # projection to (x, y)
-    elif branch == 1:
-        a = _nil_sol_pattern(rng, n, (0, 1), (2,))          # projection to z
-    else:
-        a = rand_matrix(rng, n, 3, 0.3)
-    spec = affine_map(a)
-    return _agree_trial(dom, cod, spec, seed, "T6.1", trial)
-
-
-def _suite_t62(trial: int, rng: Random, seed: int):
-    m = rng.randint(2, 4)
-    dom, cod = build_euclidean(m), build_space("sol")
-    branch = trial % 4
-    if branch == 0:
-        a = _row_pattern(rng, m, (2,), (0, 1))              # inclusion (x, y, 0)
-    elif branch == 1:
-        a = _row_pattern(rng, m, (0, 1), (2,))              # inclusion (0, 0, z)
-    else:
-        a = rand_matrix(rng, 3, m, 0.3)
-    spec = affine_map(a)
-    return _agree_trial(dom, cod, spec, seed, "T6.2", trial)
-
-
-def _suite_t71(trial: int, rng: Random, seed: int):
-    m = rng.randint(2, 3)
-    dom, cod = build_euclidean(m), build_space("sol")
-    if trial % 2 == 0:
-        quads = [tuple((Fraction(0),) * m for _ in range(m)) for _ in range(3)]
-    else:
-        quads = [rand_symmetric(rng, m) for _ in range(3)]
-    spec = quadratic_map(quads)
-    return _agree_trial(dom, cod, spec, seed, "T7.1", trial)
-
-
-def _suite_t72(trial: int, rng: Random, seed: int):
-    m = rng.randint(2, 3)
-    dom, cod = build_euclidean(m), build_space("nil")
-    if trial % 2 == 0:
-        quads = [tuple((Fraction(0),) * m for _ in range(m)) for _ in range(3)]
-    else:
-        quads = [rand_symmetric(rng, m) for _ in range(3)]
-    spec = quadratic_map(quads)
-    return _agree_trial(dom, cod, spec, seed, "T7.2", trial)
+_suite_t51 = _nil_sol_suite("T5.1", "nil", "euclid", (2, 3))
+_suite_t52 = _nil_sol_suite("T5.2", "euclid", "nil", (2, 4))
+_suite_t61 = _nil_sol_suite("T6.1", "sol", "euclid", (2, 3))
+_suite_t62 = _nil_sol_suite("T6.2", "euclid", "sol", (2, 4))
 
 
 def _suite_t81(trial: int, rng: Random, seed: int):
@@ -888,25 +829,9 @@ def _suite_t81(trial: int, rng: Random, seed: int):
 def _suite_t83(trial: int, rng: Random, seed: int):
     m = rng.randint(1, 2)
     if trial % 2 == 0:
-        # stated normal form: lambda z_i + z0 with real lambda (or a constant)
-        poly = {}
-        z0 = (rand_rational(rng, 4, 4), rand_rational(rng, 4, 4))
-        if z0 != (Fraction(0), Fraction(0)):
-            poly[(0,) * m] = z0
-        if trial % 4 == 0 or not poly:
-            lam = rand_rational(rng, 4, 4) or Fraction(2)
-            idx = rng.randrange(m)
-            mono = tuple(1 if k == idx else 0 for k in range(m))
-            poly[mono] = (lam, Fraction(0))
-        cmap = ComplexPolyMap(m=m, n=1, components=(poly,))
+        cmap = _sample_normal_form(rng, m, lambda: trial % 4 == 0)
     else:
-        cmap = _sample_cpoly_map(rng, m, 1, 3)
-        comp = dict(cmap.components[0])
-        if cpoly_degree(comp) < 2:
-            mono = [0] * m
-            mono[rng.randrange(m)] = 2
-            comp[tuple(mono)] = (rand_rational(rng, 4, 4) or Fraction(1), Fraction(0))
-        cmap = ComplexPolyMap(m=m, n=1, components=(comp,))
+        cmap = _sample_nonaffine(rng, m)
     spec = holomorphic_map(cmap)
     dom, cod = spaces_for(spec)
     return _agree_trial(dom, cod, spec, seed, "T8.3", trial)
@@ -981,7 +906,7 @@ def _suite_lem11(trial: int, rng: Random, seed: int):
     dinf = infinity_laplacian(sp, u)
     hf = hessian_form(sp, u)
     ok = is_zero(hf.clearing * dinf - hf.num)
-    if ok and label.startswith("euclid"):
+    if ok and sp.kind == "euclid":
         du = [partial_derivative(u, i) for i in range(sp.dim)]
         coord_form = Expr.zero(sp.dim)
         for i in range(sp.dim):
@@ -1019,6 +944,8 @@ def run_suite(theorem: str, trials: int, seed: int, max_failures: int = 5) -> Su
     """Run one theorem campaign; deterministic for a fixed (trials, seed)."""
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREMS)}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     description, runner = THEOREMS[theorem]
     disagreements = 0
     failures = []

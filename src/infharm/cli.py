@@ -227,6 +227,8 @@ def cmd_suite(args) -> int:
             raise SpaceError(
                 f"unknown theorem id(s) {', '.join(unknown)}; known: {', '.join(THEOREMS)}"
             )
+    if args.trials < 1:
+        raise SpaceError(f"--trials must be >= 1, got {args.trials}")
     results = []
     for tid in ids:
         res = run_suite(tid, trials=args.trials, seed=seed)

@@ -799,7 +799,10 @@ class _Parser:
     def parse_base(self) -> Expr:
         kind, text = self.take()
         if kind == "num":
-            return Expr.const(self.nvars, Fraction(text))
+            try:
+                return Expr.const(self.nvars, Fraction(text))
+            except ValueError:
+                raise ExprParseError(f"malformed number {text!r}") from None
         if kind == "(":
             inner = self.parse_expr()
             self.take(")")

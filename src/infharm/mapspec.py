@@ -521,6 +521,8 @@ def parse_mapspec(document) -> MapSpec:
                 raise MapSpecError("components", "expected a nonempty list of expression strings")
             parsed = []
             for i, text in enumerate(comps):
+                if not isinstance(text, str):
+                    raise MapSpecError(f"components[{i}]", "expected an expression string")
                 try:
                     parsed.append(parse_expr(text, m))
                 except ExprParseError as exc:
@@ -535,6 +537,8 @@ def parse_mapspec(document) -> MapSpec:
                 raise MapSpecError("complex", "expected a nonempty list of polynomial strings")
             parsed = []
             for i, text in enumerate(comps):
+                if not isinstance(text, str):
+                    raise MapSpecError(f"complex[{i}]", "expected a polynomial string")
                 try:
                     parsed.append(parse_cpoly(text, m))
                 except ExprParseError as exc:

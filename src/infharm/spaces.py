@@ -18,11 +18,15 @@ conformal:m:F     R^m with metric F^-2 delta for a user polynomial F
                   (F is claimed nonvanishing on the chart; not verified)
 nil               R^3 with dx^2 + dy^2 + (dz - x dy)^2
 sol               R^3 with e^{2z} dx^2 + e^{-2z} dy^2 + dz^2
+
+Every builder sets ``ModelSpace.kind`` to the family name above: "euclid",
+"semi-euclid", "sphere", "conformal", "nil" or "sol".  Predictors dispatch
+on that field, never on the label string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exprcore import (
@@ -43,6 +47,7 @@ class SpaceError(ValueError):
 @dataclass(frozen=True)
 class ModelSpace:
     label: str
+    kind: str                  # catalog family, see the module docstring
     dim: int
     g_lower: Matrix            # cleared lower metric; true metric = g_lower / lower_scale
     g_upper: Matrix
@@ -86,6 +91,7 @@ def build_euclidean(dim: int) -> ModelSpace:
     eye = _identity(dim)
     return ModelSpace(
         label=f"euclid:{dim}",
+        kind="euclid",
         dim=dim,
         g_lower=eye,
         g_upper=eye,
@@ -103,6 +109,7 @@ def build_semi_euclidean(dim: int, signature: tuple[int, ...]) -> ModelSpace:
     signs = "".join("+" if s == 1 else "-" for s in signature)
     return ModelSpace(
         label=f"semi-euclid:{dim}:{signs}",
+        kind="semi-euclid",
         dim=dim,
         g_lower=diag,
         g_upper=diag,
@@ -129,6 +136,7 @@ def build_conformal(dim: int, factor: Expr, label: str | None = None) -> ModelSp
     )
     return ModelSpace(
         label=label or f"conformal:{dim}",
+        kind="conformal",
         dim=dim,
         g_lower=_identity(dim),
         g_upper=upper,
@@ -148,8 +156,7 @@ def sphere_factor(dim: int) -> Expr:
 
 
 def build_sphere(dim: int) -> ModelSpace:
-    space = build_conformal(dim, sphere_factor(dim), label=f"sphere:{dim}")
-    return space
+    return replace(build_conformal(dim, sphere_factor(dim), label=f"sphere:{dim}"), kind="sphere")
 
 
 def build_nil() -> ModelSpace:
@@ -169,6 +176,7 @@ def build_nil() -> ModelSpace:
     )
     return ModelSpace(
         label="nil",
+        kind="nil",
         dim=dim,
         g_lower=lower,
         g_upper=upper,
@@ -196,6 +204,7 @@ def build_sol() -> ModelSpace:
     )
     return ModelSpace(
         label="sol",
+        kind="sol",
         dim=dim,
         g_lower=lower,
         g_upper=upper,

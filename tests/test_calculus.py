@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from infharm.calculus import (
+    _witness_candidates,
     energy_density,
     evaluate,
     fd_p_tension,
@@ -117,6 +118,12 @@ class TestInfinityTension:
         rep = infinity_tension(NIL, E2, spec)
         assert rep.energy_density == Expr.coord(3, 0) ** 2 + 2
         assert rep.verdict == "zero"
+
+    def test_witness_candidates_are_built_once(self):
+        pts = _witness_candidates(3)
+        assert isinstance(pts, tuple) and _witness_candidates(3) is pts
+        assert len(pts) == 1 + 2 * 3 + 200
+        assert pts[:3] == ((1, 1, 1), (1, 0, 0), (-1, 0, 0))
 
     def test_quadratic_into_sol_nonzero(self):
         spec = quadratic_map([[[1]], [[0]], [[0]]])

@@ -1,10 +1,13 @@
 """Predictors, cross-validation, and campaign machinery."""
 
+import hashlib
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from infharm import classify
 from infharm.calculus import infinity_tension
 from infharm.classify import (
     THEOREMS,
@@ -31,12 +34,17 @@ from infharm.mapspec import (
     holomorphic_map,
     parse_cpoly,
     quadratic_map,
+    serialize_mapspec,
 )
 from infharm.spaces import build_space
 
 E1, E2, E3 = build_space("euclid:1"), build_space("euclid:2"), build_space("euclid:3")
 NIL, SOL = build_space("nil"), build_space("sol")
 S2, S3 = build_space("sphere:2"), build_space("sphere:3")
+
+
+# sha256 of the records in TestSuites.test_sampled_trials_are_pinned.
+SAMPLED_TRIALS_SHA256 = "6064968ed0c5331f61dc576189745264b0e9c112c0d78e7864a2b0ce562c8131"
 
 
 def frac_matrix(rows):
@@ -269,6 +277,15 @@ class TestFalsifySearch:
         out = falsify_search("holomorphic", E2, E2, 100, seed=5)
         assert not out.counterexamples
 
+    def test_uncovered_pair_is_refused(self):
+        # the zero matrix gets the ConstantMap verdict on any pair, so some
+        # trials do have a predictor; the others must not pass as agreement
+        semi = build_space("semi-euclid:2:-+")
+        with pytest.raises(UnsupportedPairError, match="no linear predictor covers"):
+            falsify_search("linear", semi, E1, 1000, seed=0)
+        with pytest.raises(UnsupportedPairError, match="no quadratic predictor covers"):
+            falsify_search("quadratic", NIL, E2, 10, seed=0)
+
     def test_determinism(self):
         a = falsify_search("linear", SOL, E3, 50, seed=123)
         b = falsify_search("linear", SOL, E3, 50, seed=123)
@@ -285,8 +302,38 @@ class TestSuites:
         with pytest.raises(KeyError):
             run_suite("T9.9", trials=1, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_suite("T5.1", trials=trials, seed=0)
+
     def test_determinism(self):
         assert run_suite("T5.1", 30, seed=9) == run_suite("T5.1", 30, seed=9)
+
+    def test_sampled_trials_are_pinned(self, monkeypatch):
+        # Every map a theorem runner hands to the direct computation, plus the
+        # generator state after each trial, for seed 0 and trials 0-39.  The
+        # suite JSON holds no per-trial data while everything agrees, so this
+        # is what shows that a refactored suite still draws the same maps.
+        records = []
+
+        def recording(original):
+            def wrapper(domain, codomain, spec, *args, **kwargs):
+                records.append([domain.label, codomain.label, serialize_mapspec(spec)])
+                return original(domain, codomain, spec, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(classify, "cross_validate", recording(classify.cross_validate))
+        monkeypatch.setattr(classify, "infinity_tension", recording(classify.infinity_tension))
+        for tid in sorted(THEOREMS):
+            runner = THEOREMS[tid][1]
+            for trial in range(40):
+                rng = classify._rng_for(0, tid, trial)
+                runner(trial, rng, 0)
+                records.append([tid, trial, rng.getstate()])
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == SAMPLED_TRIALS_SHA256
 
 
 class TestPatternEnergyProfiles:

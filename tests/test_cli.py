@@ -69,6 +69,20 @@ class TestCheck:
         assert code == 2
         assert "quad[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"kind": "custom", "m": 1, "components": ["1.2.3*x1"]}, "components[0]"),
+            ({"kind": "custom", "m": 1, "components": ["x1", 7]}, "components[1]"),
+            ({"kind": "holomorphic", "m": 1, "complex": [None]}, "complex[0]"),
+        ],
+    )
+    def test_malformed_component_exit_two(self, tmp_path, capsys, doc, path):
+        bad = write_map(tmp_path, "bad.json", doc)
+        code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", bad])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
     def test_padding_into_sol(self, square_map, capsys):
         # too few components is an input error unless --pad is given
         code = main(["check", "--domain", "euclid:1", "--codomain", "sol", "--map", square_map])
@@ -175,6 +189,14 @@ class TestSuiteCommand:
         code = main(["suite", "--theorem", "T99", "--trials", "5", "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_not_a_pass(self, capsys, trials):
+        code = main(["suite", "--theorem", "T6.1", "--trials", trials, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "ok" not in captured.out
+        assert "--trials" in captured.err
+
     def test_suite_json_determinism(self, tmp_path, capsys):
         docs = []
         for i in range(2):
@@ -196,6 +218,15 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "0 counterexamples" in out
+
+    def test_uncovered_pair_exit_two(self, capsys):
+        code = main(
+            ["search", "--family", "linear", "--domain", "semi-euclid:2:-+", "--codomain", "euclid:1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "counterexamples" not in captured.out
+        assert "no linear predictor covers semi-euclid:2:-+ -> euclid:1" in captured.err
 
     def test_holomorphic_complex_labels(self, capsys):
         code = main(

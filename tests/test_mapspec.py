@@ -159,6 +159,25 @@ class TestParsing:
         with pytest.raises(MapSpecError, match=r"components\[0\]"):
             parse_mapspec({"kind": "custom", "m": 2, "components": ["x7"]})
 
+    @pytest.mark.parametrize("text", ["1.2.3*x1", "x1 + 2..5", "(1.2.3)^2"])
+    def test_malformed_number_has_field_path(self, text):
+        with pytest.raises(MapSpecError, match=r"components\[0\]: malformed number"):
+            parse_mapspec({"kind": "custom", "m": 1, "components": [text]})
+
+    def test_malformed_complex_number_has_field_path(self):
+        with pytest.raises(MapSpecError, match=r"complex\[0\]"):
+            parse_mapspec({"kind": "holomorphic", "m": 1, "complex": ["1.2.3*z"]})
+
+    @pytest.mark.parametrize("entry", [7, 1.5, None, ["x1"], {"x": 1}])
+    def test_non_string_component_has_field_path(self, entry):
+        with pytest.raises(MapSpecError, match=r"components\[1\]: expected an expression string"):
+            parse_mapspec({"kind": "custom", "m": 1, "components": ["x1", entry]})
+
+    @pytest.mark.parametrize("entry", [3, None, ["z"]])
+    def test_non_string_complex_entry_has_field_path(self, entry):
+        with pytest.raises(MapSpecError, match=r"complex\[0\]: expected a polynomial string"):
+            parse_mapspec({"kind": "holomorphic", "m": 1, "complex": [entry]})
+
 
 class TestRoundTrip:
     def test_parse_serialize_identity(self):

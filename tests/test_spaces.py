@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from infharm.exprcore import Expr, exp_of, is_zero, partial_derivative, to_string
-from infharm.spaces import SpaceError, build_space, christoffel
+from infharm.spaces import SpaceError, build_conformal, build_space, christoffel
 
 ALL_LABELS = [
     "euclid:1",
@@ -136,3 +136,15 @@ def test_bad_labels():
 def test_christoffel_cache_reuse():
     sp = build_space("nil")
     assert christoffel(sp) is christoffel(sp)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_kind_is_the_catalog_family(label):
+    sp = build_space(label)
+    assert sp.kind == label.split(":")[0]
+    assert sp.is_conformal == (sp.kind in ("sphere", "conformal"))
+
+
+def test_kind_does_not_follow_a_custom_label():
+    sp = build_conformal(2, Expr.const(2, 3), label="euclid-looking")
+    assert sp.kind == "conformal"
