@@ -31,11 +31,9 @@ from typing import Sequence
 from .exprcore import (
     DimensionError,
     Expr,
+    FloatProgram,
     UnsupportedExpressionError,
-    evaluate,
-    evaluate_float,
     is_zero,
-    max_term_magnitude,
     partial_derivative,
     substitute,
 )
@@ -273,11 +271,17 @@ def _witness_candidates(nvars: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _find_witness(components: Sequence[Expr], nvars: int) -> Witness:
+    # Compiled one component at a time, when the search first reaches it:
+    # most searches stop at the first candidate.
+    programs: dict[int, FloatProgram] = {}
     for pt in _witness_candidates(nvars):
         for idx, comp in enumerate(components):
             if not comp.terms:
                 continue
-            val = evaluate(comp, pt)
+            program = programs.get(idx)
+            if program is None:
+                program = programs[idx] = FloatProgram(comp.nvars, (comp,))
+            val = program.at(pt)[0][0]
             if math.isfinite(val) and abs(val) > NUMERIC_TOL:
                 return Witness(point=pt, component=idx, value=val)
     raise UnsupportedExpressionError(
@@ -297,10 +301,11 @@ def numeric_zero_check(
     Tolerance is absolute after normalizing by 1 + |largest monomial| at the
     point, which keeps the test meaningful for large cleared numerators.
     """
+    program = FloatProgram(nvars, components)
     for pt in sample_points(nvars, count, seed):
-        for comp in components:
-            scale = 1.0 + max_term_magnitude(comp, pt)
-            if abs(evaluate(comp, pt)) > tol * scale:
+        values, magnitudes = program.at(pt)
+        for val, mag in zip(values, magnitudes):
+            if abs(val) > tol * (1.0 + mag):
                 return False
     return True
 
@@ -348,9 +353,10 @@ def infinity_tension(
 class NumericTension:
     """Pointwise tension evaluator that bypasses symbolic composition.
 
-    Domain-side derivatives are taken symbolically once at construction;
-    at each point the codomain metric is evaluated in floats at phi(point)
-    and the tension is assembled numerically.  This is an independent route
+    Domain-side derivatives are taken symbolically once at construction,
+    and both sides are compiled once into a ``FloatProgram``; at each point
+    the codomain metric is evaluated in floats at phi(point) and the tension
+    is assembled numerically.  This is an independent route
     to the same quantity as the cleared symbolic components (up to the
     positive clearing factor), used for the exact/numeric coherence checks
     and as the fallback when composition leaves the symbolic class.
@@ -376,55 +382,66 @@ class NumericTension:
             for a in range(n)
         ]
         self.dscale = [partial_derivative(codomain.lower_scale, g) for g in range(n)]
+        # Each side is compiled once, in the order at() unpacks it; the
+        # codomain side holds only the metric entries that are not zero.
+        self._pairs = [(a, b) for a in range(n) for b in range(n) if codomain.g_lower[a][b].terms]
+        self._domain_side = FloatProgram(m, [
+            *(e for row in domain.g_upper for e in row),
+            *(e for plane in self.dgu for row in plane for e in row),
+            *(e for row in self.jac for e in row),
+            *(e for plane in self.hess for row in plane for e in row),
+            *comps,
+        ])
+        self._codomain_side = FloatProgram(n, [
+            codomain.lower_scale,
+            *self.dscale,
+            *(e for a, b in self._pairs for e in (codomain.g_lower[a][b], *self.dh[a][b])),
+        ])
 
     def at(self, point) -> tuple[list[float], float]:
         """Tension component values at a rational point, plus a size scale."""
         m, n = self.m, self.n
-        gu = [[evaluate(self.domain.g_upper[i][j], point) for j in range(m)] for i in range(m)]
-        dgu = [
-            [[evaluate(self.dgu[i][j][k], point) for k in range(m)] for j in range(m)]
-            for i in range(m)
-        ]
-        jval = [[evaluate(self.jac[a][i], point) for i in range(m)] for a in range(n)]
-        hval = [
-            [[evaluate(self.hess[a][i][k], point) for k in range(m)] for i in range(m)]
-            for a in range(n)
-        ]
-        phi_pt = [evaluate(c, point) for c in self.comps]
-        d_val = evaluate_float(self.codomain.lower_scale, phi_pt)
-        dd_val = [evaluate_float(self.dscale[g], phi_pt) for g in range(n)]
+        take = iter(self._domain_side.at(point)[0]).__next__
+        gu = [[take() for _ in range(m)] for _ in range(m)]
+        dgu = [[[take() for _ in range(m)] for _ in range(m)] for _ in range(m)]
+        jval = [[take() for _ in range(m)] for _ in range(n)]
+        hval = [[[take() for _ in range(m)] for _ in range(m)] for _ in range(n)]
+        phi_pt = [take() for _ in range(n)]
+        take = iter(self._codomain_side.at_float(phi_pt)[0]).__next__
+        d_val = take()
+        dd_val = [take() for _ in range(n)]
         h_val = [[0.0] * n for _ in range(n)]
         dh_val = [[[0.0] * n for _ in range(n)] for _ in range(n)]  # [gamma][a][b]
-        for a in range(n):
-            for b in range(n):
-                gab = self.codomain.g_lower[a][b]
-                if not gab.terms:
-                    continue
-                gv = evaluate_float(gab, phi_pt)
-                h_val[a][b] = gv / d_val
-                for g in range(n):
-                    dgv = evaluate_float(self.dh[a][b][g], phi_pt)
-                    dh_val[g][a][b] = (dgv * d_val - gv * dd_val[g]) / (d_val * d_val)
+        for a, b in self._pairs:
+            gv = take()
+            h_val[a][b] = gv / d_val
+            for g in range(n):
+                dgv = take()
+                dh_val[g][a][b] = (dgv * d_val - gv * dd_val[g]) / (d_val * d_val)
         # Metric pairs with a zero value and zero derivatives add nothing.
         pairs = [
             (a, b)
-            for a in range(n)
-            for b in range(n)
+            for a, b in self._pairs
             if not (h_val[a][b] == 0.0 and all(dh_val[g][a][b] == 0.0 for g in range(n)))
         ]
         wgrad = [0.0] * m
         for k in range(m):
+            # The chain-rule factor depends on (k, a, b) only.
+            terms = [
+                (a, b, h_val[a][b], sum(dh_val[g][a][b] * jval[g][k] for g in range(n)))
+                for a, b in pairs
+            ]
             total = 0.0
             for i in range(m):
                 for j in range(m):
-                    for a, b in pairs:
-                        dpart = (
-                            dgu[i][j][k] * jval[a][i] * jval[b][j]
-                            + gu[i][j] * (hval[a][i][k] * jval[b][j] + jval[a][i] * hval[b][j][k])
-                        )
-                        total += dpart * h_val[a][b]
-                        chain = sum(dh_val[g][a][b] * jval[g][k] for g in range(n))
-                        total += gu[i][j] * jval[a][i] * jval[b][j] * chain
+                    gij = gu[i][j]
+                    dgij = dgu[i][j][k]
+                    for a, b, hab, chain in terms:
+                        jai = jval[a][i]
+                        jbj = jval[b][j]
+                        dpart = dgij * jai * jbj + gij * (hval[a][i][k] * jbj + jai * hval[b][j][k])
+                        total += dpart * hab
+                        total += gij * jai * jbj * chain
             wgrad[k] = total
         values = []
         scale = 0.0
@@ -449,6 +466,7 @@ def independent_numeric_check(
 ) -> bool:
     """All numerically assembled tension values stay below tol at sample points."""
     comps = _components_of(phi)
+    _check_dims(domain, codomain, comps)
     evaluator = NumericTension(domain, codomain, comps)
     for pt in sample_points(domain.dim, count, seed):
         values, scale = evaluator.at(pt)
@@ -588,13 +606,18 @@ def phm_composed_p_tension(
 # finite-difference oracle for the p-tension (flat pairs), fourth order
 
 
-def _fd4(f, x: list[float], i: int, h: float) -> float:
-    def at(delta: float) -> float:
+def _fd4(f, x: list[float], i: int, h: float) -> list[float]:
+    """Fourth-order central difference along coordinate i of a list-valued f."""
+    def at(delta: float) -> list[float]:
         y = list(x)
         y[i] += delta
         return f(y)
 
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+    far, near, back, far_back = at(2 * h), at(h), at(-h), at(-2 * h)
+    return [
+        (-a + 8 * b - 8 * c + d) / (12 * h)
+        for a, b, c, d in zip(far, near, back, far_back)
+    ]
 
 
 def fd_p_tension(
@@ -604,24 +627,30 @@ def fd_p_tension(
 
     Computes sum_i d_i(W^{(p-2)/2} d_i phi^g) with all derivatives taken by
     fourth-order central differences on float evaluations of the components;
-    independent of the symbolic differentiation path.
+    independent of the symbolic differentiation path.  Every component is
+    evaluated in one compiled pass per point.
     """
     m = comps[0].nvars
+    program = FloatProgram(m, comps)
 
-    def grad_entry(g: int, i: int, x: list[float]) -> float:
-        return _fd4(lambda y: evaluate_float(comps[g], y), x, i, h)
+    def values(y: list[float]) -> list[float]:
+        return program.at_float(y)[0]
 
-    def wpow(x: list[float]) -> float:
+    def flux(i: int, y: list[float]) -> list[float]:
+        """W^{(p-2)/2} d_i phi^g at y, for every g."""
+        grad = [_fd4(values, y, j, h) for j in range(m)]  # grad[j][g] = d_j phi^g
         w = 0.0
         for g in range(len(comps)):
-            for i in range(m):
-                w += grad_entry(g, i, x) ** 2
-        return w ** ((p - 2) / 2.0)
+            for j in range(m):
+                w += grad[j][g] ** 2
+        wpow = w ** ((p - 2) / 2.0)
+        return [wpow * d for d in grad[i]]
 
+    divergence = [_fd4(lambda y, i=i: flux(i, y), list(point), i, h) for i in range(m)]
     out = []
     for g in range(len(comps)):
         total = 0.0
         for i in range(m):
-            total += _fd4(lambda y, gi=g, ii=i: wpow(y) * grad_entry(gi, ii, y), list(point), i, h)
+            total += divergence[i][g]
         out.append(total)
     return out

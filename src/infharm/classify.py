@@ -21,7 +21,6 @@ from random import Random
 from .calculus import (
     TensionReport,
     _child_seed,
-    evaluate,
     fd_p_tension,
     hessian_form,
     infinity_laplacian,
@@ -31,7 +30,7 @@ from .calculus import (
     phm_composed_p_tension,
     sample_points,
 )
-from .exprcore import Expr, is_zero, partial_derivative, substitute
+from .exprcore import Expr, FloatProgram, is_zero, partial_derivative, substitute
 from .mapspec import (
     ComplexPolyMap,
     MapSpec,
@@ -549,9 +548,13 @@ def _sample_family(family: str, domain: ModelSpace, codomain: ModelSpace, rng: R
             return quadratic_map(quads, rand_matrix(rng, n, m, 0.5), [rand_rational(rng) for _ in range(n)])
         return quadratic_map(quads)
     if family == "holomorphic":
-        cm = m // 2 if m % 2 == 0 else m
-        cn = n // 2 if n % 2 == 0 else n
-        return holomorphic_map(_sample_holomorphic(rng, max(cm, 1), max(cn, 1)))
+        for space in (domain, codomain):
+            if space.dim % 2:
+                raise UnsupportedPairError(
+                    "holomorphic maps need even-dimensional Euclidean spaces (C^k = R^2k);"
+                    f" {space.label} has odd dimension {space.dim}"
+                )
+        return holomorphic_map(_sample_holomorphic(rng, m // 2, n // 2))
     raise ValueError(f"unknown family {family!r}; use linear, quadratic, or holomorphic")
 
 
@@ -868,10 +871,10 @@ def _suite_phm(trial: int, rng: Random, seed: int):
     ok = all(is_zero(x - y) for x, y in zip(div_form, composed))
     if ok:
         comps = materialize(spec)
+        program = FloatProgram(m, div_form)
         for pt in sample_points(m, 5, _child_seed(seed, f"PHM:{trial}")):
             fd = fd_p_tension(comps, 4, [float(v) for v in pt])
-            for sym_expr, fd_val in zip(div_form, fd):
-                sym_val = evaluate(sym_expr, pt)
+            for sym_val, fd_val in zip(program.at(pt)[0], fd):
                 if abs(sym_val - fd_val) > 1e-6 * max(1.0, abs(sym_val), abs(fd_val)):
                     ok = False
     detail = None if ok else {"map": serialize_mapspec(spec)}

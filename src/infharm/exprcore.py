@@ -44,6 +44,21 @@ Multiplication is one integer kernel for every kind of term:
   distinct pair of parts in a product and replayed for every term pair;
 * each output term is unpacked and given its ``Fraction`` coefficient once.
 
+Float evaluation is one compiled evaluator, ``FloatProgram``.  It serves
+``evaluate``, ``evaluate_float`` and ``max_term_magnitude``, and the sampled
+checks in ``calculus`` compile their expressions once and evaluate them at
+many points.  Compilation turns each expression into rows in ``Expr.terms``
+order.  At each point every coordinate is converted to float once, and each
+coordinate power up to the largest one used, each distinct cos/sin power and
+each distinct exponent key (its slot) is computed once into a table.  The
+values are bit-identical to a loop that
+evaluates monomial by monomial: each table entry is the float expression
+that loop computes (``x**p``, ``cos(x)**a``, ``exp`` of the exponent summed
+exactly at a rational point, or in floats at a float point), each monomial
+multiplies its factors in the same order (coefficient, coordinate powers,
+exponential, trig factors), and the sum runs in term order.  Only repeated
+work is removed.
+
 All values are immutable after construction and all operations are pure;
 expressions may be shared freely across threads.
 """
@@ -539,81 +554,165 @@ def _rational_point(point: Sequence) -> list[Fraction]:
     return [x if isinstance(x, Fraction) else Fraction(x) for x in point]
 
 
+class FloatProgram:
+    """Expressions over ``nvars`` coordinates, compiled once for float evaluation at many points.
+
+    Each expression becomes rows ``(coefficient, coords, slot, tail)`` in
+    ``Expr.terms`` order.  ``coords`` is the term's own tuple of (i, p)
+    pairs, read from a per-point table of coordinate powers; ``slot`` and
+    ``tail`` index a per-point table that holds one value per distinct
+    exponent key (slot 0 means no exponential) and then every distinct
+    cos/sin power.
+    """
+
+    __slots__ = ("nvars", "_rows", "_key_rows", "_keys", "_trig", "_top", "_key_top")
+
+    def __init__(self, nvars: int, exprs: Sequence[Expr]):
+        for e in exprs:
+            if e.nvars != nvars:
+                raise DimensionError(f"expression uses {e.nvars} coordinates, expected {nvars}")
+        # Exponent keys hold Fractions, which are slow to hash; the terms of
+        # one product share their key object, so a key is found by id first.
+        keys: dict[PolyKey, int] = {}
+        slot_of: dict[int, int] = {}
+        for e in exprs:
+            for _, expk, _ in e.terms:
+                if expk and id(expk) not in slot_of:
+                    slot_of[id(expk)] = keys.setdefault(expk, len(keys) + 1)
+        trig_index: dict[tuple, int] = {}
+        base = len(keys) + 1
+
+        def trig_factors(trig: Trig) -> tuple[int, ...]:
+            tail = []
+            for i, cp, sp in trig:
+                if cp:
+                    tail.append(trig_index.setdefault((math.cos, i, cp), base + len(trig_index)))
+                if sp:
+                    tail.append(trig_index.setdefault((math.sin, i, sp), base + len(trig_index)))
+            return tuple(tail)
+
+        def compile_terms(terms, top: list[int]) -> tuple:
+            rows = tuple([
+                (
+                    c.numerator / c.denominator,
+                    coords,
+                    slot_of[id(expk)] if expk else 0,
+                    trig_factors(trig) if trig else (),
+                )
+                for (coords, expk, trig), c in terms
+            ])
+            for _, coords, _, _ in rows:
+                for i, p in coords:
+                    if p > top[i]:
+                        top[i] = p
+            return rows
+
+        top = [0] * nvars
+        self.nvars = nvars
+        self._rows = (
+            len(exprs),
+            [(n, compile_terms(e.terms.items(), top)) for n, e in enumerate(exprs) if e.terms],
+        )
+        # Powers that only the float-point exponent sums need are kept apart,
+        # so that a rational point never computes them.
+        self._top = tuple(top)
+        self._key_rows = (
+            len(keys),
+            [(n, compile_terms((((kc, (), ()), c) for kc, c in key), top)) for n, key in enumerate(keys)],
+        )
+        self._key_top = tuple(top)
+        self._keys = tuple(keys)
+        self._trig = tuple(trig_index)
+
+    def _check_length(self, point: Sequence) -> None:
+        if len(point) != self.nvars:
+            raise DimensionError(f"expected {self.nvars} coordinates, got {len(point)}")
+
+    def _trig_table(self, fl: list[float]) -> list:
+        """Slot entries (filled by the caller), then every cos/sin power."""
+        return [0.0] * (len(self._keys) + 1) + [f(fl[i]) ** k for f, i, k in self._trig]
+
+    def at(self, point: Sequence) -> tuple[list[float], list[float]]:
+        """Values and largest |monomial| of every expression at a rational point.
+
+        Each exponent is evaluated exactly and rounded once; ``n / d`` on the
+        integer parts is exactly how float() converts a Fraction.
+        """
+        pt = _rational_point(point)
+        self._check_length(pt)
+        fl = [x.numerator / x.denominator for x in pt]
+        table = self._trig_table(fl)
+        for slot, key in enumerate(self._keys, 1):
+            try:
+                table[slot] = math.exp(_key_float(key, pt))
+            except OverflowError:
+                table[slot] = None
+        powers = [[x ** p for p in range(top + 1)] for x, top in zip(fl, self._top)]
+        return _run(self._rows, powers, table)
+
+    def at_float(self, point: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Values and largest |monomial| at a float point; exponents are summed in floats."""
+        self._check_length(point)
+        fl = [float(x) for x in point]
+        table = self._trig_table(fl)
+        powers = [[x ** p for p in range(top + 1)] for x, top in zip(fl, self._key_top)]
+        args, _ = _run(self._key_rows, powers, table)
+        for slot, arg in enumerate(args, 1):
+            try:
+                table[slot] = math.exp(arg)
+            except OverflowError:
+                table[slot] = None
+        return _run(self._rows, powers, table)
+
+
+def _run(
+    program: tuple[int, list], powers: list[list[float]], table: list
+) -> tuple[list[float], list[float]]:
+    """The one float loop: each expression's sum in row order, and its largest |term|.
+
+    ``program`` is the expression count and the rows of each nonzero
+    expression by position; a zero expression is 0.0.  An exponential that
+    overflowed (slot value None) makes the term +-inf by the sign of the
+    product so far.
+    """
+    count, rows_by_position = program
+    values = [0.0] * count
+    magnitudes = [0.0] * count
+    for n, rows in rows_by_position:
+        total = 0.0
+        best = 0.0
+        for v, coords, slot, tail in rows:
+            for i, p in coords:
+                v *= powers[i][p]
+            if slot:
+                x = table[slot]
+                if x is None:
+                    v = math.inf if v > 0 else -math.inf
+                else:
+                    v *= x
+            for k in tail:
+                v *= table[k]
+            total += v
+            if abs(v) > best:
+                best = abs(v)
+        values[n] = total
+        magnitudes[n] = best
+    return values, magnitudes
+
+
 def evaluate(e: Expr, point: Sequence) -> float:
     """Evaluate at a rational point in double precision."""
-    pt = _rational_point(point)
-    if len(pt) != e.nvars:
-        raise DimensionError(f"expected {e.nvars} coordinates, got {len(pt)}")
-    if not e.terms:
-        return 0.0
-    fl = [x.numerator / x.denominator for x in pt]
-    total = 0.0
-    for mono, c in e.terms.items():
-        total += _eval_mono(mono, c, pt, fl)
-    return total
-
-
-def _eval_mono(mono: Mono, coeff: Fraction, pt: Sequence[Fraction], fl: Sequence[float]) -> float:
-    """One monomial's value in floats; fl[i] is float(pt[i]).
-
-    ``n / d`` on the integer parts is exactly how float() converts a Fraction.
-    The exponent is evaluated exactly and rounded once.
-    """
-    coords, expk, trig = mono
-    v = coeff.numerator / coeff.denominator
-    for i, p in coords:
-        v *= fl[i] ** p
-    if expk:
-        try:
-            v *= math.exp(_key_float(expk, pt))
-        except OverflowError:
-            v = math.inf if v > 0 else -math.inf
-    for i, cp, sp in trig:
-        x = fl[i]
-        if cp:
-            v *= math.cos(x) ** cp
-        if sp:
-            v *= math.sin(x) ** sp
-    return v
+    return FloatProgram(e.nvars, (e,)).at(point)[0][0]
 
 
 def evaluate_float(e: Expr, point: Sequence[float]) -> float:
     """Evaluate at a float point (internal numeric paths; no exactness claims)."""
-    if len(point) != e.nvars:
-        raise DimensionError(f"expected {e.nvars} coordinates, got {len(point)}")
-    total = 0.0
-    for (coords, expk, trig), c in e.terms.items():
-        v = float(c)
-        for i, p in coords:
-            v *= point[i] ** p
-        if expk:
-            arg = 0.0
-            for kcoords, kc in expk:
-                t = float(kc)
-                for i, p in kcoords:
-                    t *= point[i] ** p
-                arg += t
-            try:
-                v *= math.exp(arg)
-            except OverflowError:
-                v = math.inf if v > 0 else -math.inf
-        for i, cp, sp in trig:
-            if cp:
-                v *= math.cos(point[i]) ** cp
-            if sp:
-                v *= math.sin(point[i]) ** sp
-        total += v
-    return total
+    return FloatProgram(e.nvars, (e,)).at_float(point)[0][0]
 
 
 def max_term_magnitude(e: Expr, point: Sequence) -> float:
     """Largest |monomial value| at the point; used to normalize numeric tolerances."""
-    pt = _rational_point(point)
-    fl = [x.numerator / x.denominator for x in pt]
-    best = 0.0
-    for mono, c in e.terms.items():
-        best = max(best, abs(_eval_mono(mono, c, pt, fl)))
-    return best
+    return FloatProgram(e.nvars, (e,)).at(point)[1][0]
 
 
 def evaluate_exact(e: Expr, point: Sequence) -> Fraction:

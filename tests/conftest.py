@@ -1,7 +1,8 @@
-"""Shared generators for seeded random-expression campaigns."""
+"""Shared generators for seeded random-expression campaigns, and reference float evaluators."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -53,3 +54,87 @@ def random_expr(
 
 def random_point(rng: Random, nvars: int, den: int = 8) -> list[Fraction]:
     return [Fraction(rng.randint(-den, den), den) for _ in range(nvars)]
+
+
+# ---------------------------------------------------------------------------
+# Per-expression float evaluation, kept as the reference for the compiled
+# evaluator (``exprcore.FloatProgram``): one call per expression, one
+# monomial at a time, every exponent recomputed for every monomial.
+
+
+def _reference_key_float(key, point) -> float:
+    num, den = 0, 1
+    for coords, c in key:
+        n, d = c.numerator, c.denominator
+        for i, p in coords:
+            x = point[i]
+            n *= x.numerator ** p
+            d *= x.denominator ** p
+        num = num * d + n * den
+        den *= d
+    return num / den
+
+
+def _reference_mono(mono, coeff, pt, fl) -> float:
+    coords, expk, trig = mono
+    v = coeff.numerator / coeff.denominator
+    for i, p in coords:
+        v *= fl[i] ** p
+    if expk:
+        try:
+            v *= math.exp(_reference_key_float(expk, pt))
+        except OverflowError:
+            v = math.inf if v > 0 else -math.inf
+    for i, cp, sp in trig:
+        x = fl[i]
+        if cp:
+            v *= math.cos(x) ** cp
+        if sp:
+            v *= math.sin(x) ** sp
+    return v
+
+
+def reference_evaluate(e: Expr, point) -> float:
+    pt = [x if isinstance(x, Fraction) else Fraction(x) for x in point]
+    assert len(pt) == e.nvars
+    fl = [x.numerator / x.denominator for x in pt]
+    total = 0.0
+    for mono, c in e.terms.items():
+        total += _reference_mono(mono, c, pt, fl)
+    return total
+
+
+def reference_max_term_magnitude(e: Expr, point) -> float:
+    pt = [x if isinstance(x, Fraction) else Fraction(x) for x in point]
+    fl = [x.numerator / x.denominator for x in pt]
+    best = 0.0
+    for mono, c in e.terms.items():
+        best = max(best, abs(_reference_mono(mono, c, pt, fl)))
+    return best
+
+
+def reference_evaluate_float(e: Expr, point) -> float:
+    assert len(point) == e.nvars
+    total = 0.0
+    for (coords, expk, trig), c in e.terms.items():
+        v = float(c)
+        for i, p in coords:
+            v *= point[i] ** p
+        if expk:
+            arg = 0.0
+            for kcoords, kc in expk:
+                t = float(kc)
+                for i, p in kcoords:
+                    t *= point[i] ** p
+                arg += t
+            try:
+                v *= math.exp(arg)
+            except OverflowError:
+                v = math.inf if v > 0 else -math.inf
+        for i, cp, sp in trig:
+            if cp:
+                v *= math.cos(point[i]) ** cp
+            if sp:
+                v *= math.sin(point[i]) ** sp
+        total += v
+    return total

@@ -12,7 +12,6 @@ from random import Random
 
 from infharm.calculus import (
     energy_density,
-    evaluate,
     fd_p_tension,
     hessian_form,
     independent_numeric_check,
@@ -32,7 +31,7 @@ from infharm.classify import (
     mat_transpose,
     run_suite,
 )
-from infharm.exprcore import Expr, is_zero, parse_expr, partial_derivative
+from infharm.exprcore import Expr, evaluate, is_zero, parse_expr, partial_derivative
 from infharm.mapspec import affine_map, custom_map, materialize, quadratic_map
 from infharm.spaces import build_space
 

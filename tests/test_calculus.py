@@ -1,17 +1,19 @@
 """Differential operators: worked examples and the operator identities."""
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from infharm.calculus import (
+    NumericTension,
     _witness_candidates,
     energy_density,
-    evaluate,
     fd_p_tension,
     gradient_norm_squared,
     hessian_form,
+    independent_numeric_check,
     infinity_laplacian,
     infinity_tension,
     laplace_beltrami,
@@ -24,8 +26,11 @@ from infharm.calculus import (
     tension_field,
 )
 from infharm.exprcore import (
+    DimensionError,
     Expr,
     UnsupportedExpressionError,
+    cos_of,
+    evaluate,
     exp_of,
     is_zero,
     parse_expr,
@@ -35,7 +40,13 @@ from infharm.exprcore import (
 from infharm.mapspec import affine_map, custom_map, materialize, quadratic_map
 from infharm.spaces import build_space
 
-from conftest import rand_coeff, random_polynomial
+from conftest import (
+    rand_coeff,
+    random_expr,
+    random_polynomial,
+    reference_evaluate,
+    reference_evaluate_float,
+)
 
 E1, E2, E3 = build_space("euclid:1"), build_space("euclid:2"), build_space("euclid:3")
 NIL, SOL = build_space("nil"), build_space("sol")
@@ -324,3 +335,152 @@ class TestHolomorphicDoubling:
                     du = partial_derivative(u, j)
                     doubled = doubled + 2 * du * du
             assert is_zero(en.num - doubled)
+
+
+def reference_at(nt: NumericTension, point) -> tuple[list[float], float]:
+    """NumericTension.at assembled as before compilation: one evaluation per expression."""
+    m, n = nt.m, nt.n
+    gu = [[reference_evaluate(nt.domain.g_upper[i][j], point) for j in range(m)] for i in range(m)]
+    dgu = [
+        [[reference_evaluate(nt.dgu[i][j][k], point) for k in range(m)] for j in range(m)]
+        for i in range(m)
+    ]
+    jval = [[reference_evaluate(nt.jac[a][i], point) for i in range(m)] for a in range(n)]
+    hval = [
+        [[reference_evaluate(nt.hess[a][i][k], point) for k in range(m)] for i in range(m)]
+        for a in range(n)
+    ]
+    phi_pt = [reference_evaluate(c, point) for c in nt.comps]
+    d_val = reference_evaluate_float(nt.codomain.lower_scale, phi_pt)
+    dd_val = [reference_evaluate_float(nt.dscale[g], phi_pt) for g in range(n)]
+    h_val = [[0.0] * n for _ in range(n)]
+    dh_val = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            gab = nt.codomain.g_lower[a][b]
+            if not gab.terms:
+                continue
+            gv = reference_evaluate_float(gab, phi_pt)
+            h_val[a][b] = gv / d_val
+            for g in range(n):
+                dgv = reference_evaluate_float(nt.dh[a][b][g], phi_pt)
+                dh_val[g][a][b] = (dgv * d_val - gv * dd_val[g]) / (d_val * d_val)
+    pairs = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if not (h_val[a][b] == 0.0 and all(dh_val[g][a][b] == 0.0 for g in range(n)))
+    ]
+    wgrad = [0.0] * m
+    for k in range(m):
+        total = 0.0
+        for i in range(m):
+            for j in range(m):
+                for a, b in pairs:
+                    dpart = (
+                        dgu[i][j][k] * jval[a][i] * jval[b][j]
+                        + gu[i][j] * (hval[a][i][k] * jval[b][j] + jval[a][i] * hval[b][j][k])
+                    )
+                    total += dpart * h_val[a][b]
+                    chain = sum(dh_val[g][a][b] * jval[g][k] for g in range(n))
+                    total += gu[i][j] * jval[a][i] * jval[b][j] * chain
+        wgrad[k] = total
+    values = []
+    scale = 0.0
+    for a in range(n):
+        total = 0.0
+        for i in range(m):
+            for j in range(m):
+                term = gu[i][j] * jval[a][i] * wgrad[j]
+                scale = max(scale, abs(term))
+                total += term
+        values.append(total)
+    return values, scale
+
+
+def reference_fd_p_tension(comps, p, point, h=1e-2):
+    """fd_p_tension as before compilation: one finite difference per (component, direction)."""
+    m = comps[0].nvars
+
+    def fd4(f, x, i):
+        def at(delta):
+            y = list(x)
+            y[i] += delta
+            return f(y)
+
+        return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+
+    def grad_entry(g, i, x):
+        return fd4(lambda y: reference_evaluate_float(comps[g], y), x, i)
+
+    def wpow(x):
+        w = 0.0
+        for g in range(len(comps)):
+            for i in range(m):
+                w += grad_entry(g, i, x) ** 2
+        return w ** ((p - 2) / 2.0)
+
+    out = []
+    for g in range(len(comps)):
+        total = 0.0
+        for i in range(m):
+            total += fd4(lambda y, gi=g, ii=i: wpow(y) * grad_entry(gi, ii, y), list(point), i)
+        out.append(total)
+    return out
+
+
+class TestCompiledNumericPaths:
+    """The compiled float paths against their per-expression assembly, bit for bit."""
+
+    PAIRS = (
+        ("euclid:2", "sol"),
+        ("semi-euclid:3:-++", "sol"),
+        ("sphere:2", "nil"),
+        ("nil", "sphere:3"),
+        ("euclid:3", "conformal:2:1+x1^2+x2^2"),
+        ("sol", "euclid:3"),
+    )
+
+    def test_numeric_tension_matches_the_per_expression_assembly(self):
+        rng = Random(2718)
+        nonfinite = 0
+        for trial in range(24):
+            dlabel, clabel = self.PAIRS[trial % len(self.PAIRS)]
+            dom, cod = build_space(dlabel), build_space(clabel)
+            comps = tuple(random_expr(rng, dom.dim, max_deg=2, terms=3) for _ in range(cod.dim))
+            nt = NumericTension(dom, cod, comps)
+            for pt in sample_points(dom.dim, 6, seed=trial):
+                values, scale = nt.at(pt)
+                assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
+        # exp(800 x1) overflows at x1 = 1, and the metric factor exp(2 phi^3) at
+        # x1 = 1/2; exp(700 x1) overflows only in its second derivative, where
+        # the full assembly gives scale 0.0 and skipping the structurally zero
+        # metric entries would give inf.
+        x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
+        maps = (
+            (x1, x2, exp_of(800 * x1)),
+            (x2 * x1, x1, exp_of(800 * x1) - x2),
+            (x1, exp_of(700 * x1), cos_of(2, 0)),
+        )
+        points = ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)), (Fraction(-1), Fraction(1)))
+        for comps in maps:
+            nt = NumericTension(E2, SOL, comps)
+            for pt in points:
+                values, scale = nt.at(pt)
+                expected = reference_at(nt, pt)
+                assert (repr(values), repr(scale)) == tuple(map(repr, expected))
+                nonfinite += not all(math.isfinite(v) for v in expected[0])
+        assert nonfinite >= 3
+
+    def test_fd_p_tension_matches_the_per_component_differences(self):
+        rng = Random(161)
+        for _ in range(8):
+            m, n = rng.randint(1, 3), rng.randint(1, 2)
+            comps = [random_polynomial(rng, m, max_deg=3, terms=3) for _ in range(n)]
+            for pt in sample_points(m, 2, seed=m):
+                fpt = [float(v) for v in pt]
+                assert repr(fd_p_tension(comps, 4, fpt)) == repr(reference_fd_p_tension(comps, 4, fpt))
+
+    def test_independent_check_rejects_a_short_map(self):
+        with pytest.raises(DimensionError, match="codomain euclid:3 has dim 3"):
+            independent_numeric_check(E2, E3, affine_map([[1, 0], [0, 1]]))

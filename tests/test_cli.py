@@ -228,6 +228,16 @@ class TestSearchCommand:
         assert "counterexamples" not in captured.out
         assert "no linear predictor covers semi-euclid:2:-+ -> euclid:1" in captured.err
 
+    def test_holomorphic_odd_dimension_exit_two(self, capsys):
+        code = main(
+            ["search", "--family", "holomorphic", "--domain", "euclid:3", "--codomain", "euclid:2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "counterexamples" not in captured.out
+        assert "holomorphic maps need even-dimensional Euclidean spaces (C^k = R^2k)" in captured.err
+        assert "euclid:3 has odd dimension 3" in captured.err
+
     def test_holomorphic_complex_labels(self, capsys):
         code = main(
             ["search", "--family", "holomorphic", "--domain", "complex:1", "--codomain", "complex:1",

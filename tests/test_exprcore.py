@@ -10,12 +10,15 @@ import pytest
 from infharm.exprcore import (
     DimensionError,
     Expr,
+    FloatProgram,
     UnsupportedExpressionError,
     cos_of,
     evaluate,
     evaluate_exact,
+    evaluate_float,
     exp_of,
     is_zero,
+    max_term_magnitude,
     parse_expr,
     partial_derivative,
     sin_of,
@@ -23,7 +26,15 @@ from infharm.exprcore import (
     to_string,
 )
 
-from conftest import rand_coeff, random_expr, random_point, random_polynomial
+from conftest import (
+    rand_coeff,
+    random_expr,
+    random_point,
+    random_polynomial,
+    reference_evaluate,
+    reference_evaluate_float,
+    reference_max_term_magnitude,
+)
 
 
 def x(n, i):
@@ -263,6 +274,73 @@ class TestNumericGuards:
         from infharm.exprcore import max_term_magnitude
 
         assert max_term_magnitude(Expr.zero(2), [0, 0]) == 0.0
+
+
+class TestFloatProgram:
+    """The compiled evaluator against per-expression evaluation, bit for bit."""
+
+    @staticmethod
+    def batches():
+        """Seeded batches of every kind of expression, with rational points."""
+        rng = Random(8128)
+        for _ in range(64):
+            n = rng.randint(1, 3)
+            exprs = [
+                random_polynomial(rng, n),
+                exp_of(random_polynomial(rng, n, max_deg=2, terms=3)) * rand_coeff(rng),
+                random_expr(rng, n, terms=4, allow_exp=False),
+                random_expr(rng, n, terms=5),
+                Expr.zero(n),
+                random_expr(rng, n, terms=3) * exp_of(rng.randint(300, 900) * x(n, 0)),
+            ]
+            points = [
+                [Fraction(rng.randint(-64, 64), rng.choice([1, 3, 64, 1000])) for _ in range(n)]
+                for _ in range(3)
+            ]
+            yield n, exprs, points
+
+    def test_compiled_values_match_per_expression_evaluation(self):
+        checked = nonfinite = 0
+        for n, exprs, points in self.batches():
+            program = FloatProgram(n, exprs)
+            for pt in points:
+                values, magnitudes = program.at(pt)
+                fpt = [float(v) for v in pt]
+                float_values, _ = program.at_float(fpt)
+                for e, val, mag, fval in zip(exprs, values, magnitudes, float_values):
+                    assert val.hex() == reference_evaluate(e, pt).hex()
+                    assert mag.hex() == reference_max_term_magnitude(e, pt).hex()
+                    assert fval.hex() == reference_evaluate_float(e, fpt).hex()
+                    assert evaluate(e, pt).hex() == val.hex()
+                    assert max_term_magnitude(e, pt).hex() == mag.hex()
+                    assert evaluate_float(e, fpt).hex() == fval.hex()
+                    checked += 1
+                    nonfinite += not math.isfinite(val)
+        assert checked == 64 * 6 * 3
+        assert nonfinite > 20
+
+    def test_overflowing_exponential_takes_the_sign_of_the_product(self):
+        big = exp_of(800 * x(2, 0))
+        exprs = [big, -3 * big, x(2, 1) * big, big * cos_of(2, 1), Expr.const(2, 5) + big]
+        program = FloatProgram(2, exprs)
+        for pt in ([Fraction(1), Fraction(0)], [Fraction(1), Fraction(-1, 2)]):
+            values, magnitudes = program.at(pt)
+            float_values, _ = program.at_float([float(v) for v in pt])
+            for e, val, mag, fval in zip(exprs, values, magnitudes, float_values):
+                assert val.hex() == reference_evaluate(e, pt).hex()
+                assert mag.hex() == reference_max_term_magnitude(e, pt).hex()
+                assert fval.hex() == reference_evaluate_float(e, [float(v) for v in pt]).hex()
+        # x2 * exp(800 x1) at x2 = 0: the partial product is 0.0, so the term is -inf.
+        assert program.at([1, 0])[0][:3] == [math.inf, -math.inf, -math.inf]
+
+    def test_dimensions_are_checked(self):
+        with pytest.raises(DimensionError):
+            FloatProgram(2, [x(3, 0)])
+        program = FloatProgram(2, [x(2, 0)])
+        with pytest.raises(DimensionError):
+            program.at([1])
+        with pytest.raises(DimensionError):
+            program.at_float([1.0, 2.0, 3.0])
 
 
 def reference_product(a, b, seen=None):
