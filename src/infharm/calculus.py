@@ -250,10 +250,17 @@ def sample_points(
 ) -> list[tuple[Fraction, ...]]:
     """Deterministic rational sample points in [-1, 1]^nvars."""
     rng = random.Random(_child_seed(seed, f"points:{nvars}:{count}"))
+    grid = _grid(denominator)
     return [
-        tuple(Fraction(rng.randint(-denominator, denominator), denominator) for _ in range(nvars))
+        tuple(grid[rng.randint(-denominator, denominator) + denominator] for _ in range(nvars))
         for _ in range(count)
     ]
+
+
+@functools.cache
+def _grid(denominator: int) -> tuple[Fraction, ...]:
+    """The 2*denominator + 1 values k/denominator for k = -denominator..denominator."""
+    return tuple(Fraction(k, denominator) for k in range(-denominator, denominator + 1))
 
 
 @functools.cache
@@ -300,8 +307,13 @@ def numeric_zero_check(
 
     Tolerance is absolute after normalizing by 1 + |largest monomial| at the
     point, which keeps the test meaningful for large cleared numerators.
+    Structurally zero components evaluate to 0.0 everywhere, so they are
+    dropped, and no point is sampled when none is left.
     """
-    program = FloatProgram(nvars, components)
+    live = [c for c in components if c.terms]
+    if not live:
+        return True
+    program = FloatProgram(nvars, live)
     for pt in sample_points(nvars, count, seed):
         values, magnitudes = program.at(pt)
         for val, mag in zip(values, magnitudes):

@@ -1,6 +1,6 @@
 """Exact symbolic expressions with a decidable zero test.
 
-An expression is a finite sum of monomials with Fraction coefficients.
+An expression is a finite sum of monomials with rational coefficients.
 Monomials are built from three kinds of atoms over ``nvars`` coordinates:
 
 * coordinate powers ``x_i^k``,
@@ -25,24 +25,40 @@ independent over rational-coefficient trig polynomials, and the
 sin-reduced trig monomials are linearly independent over the polynomial
 ring.  ``is_zero`` is therefore a structural check.
 
+Storage.  An ``Expr`` holds one positive integer denominator ``den`` and a
+dict ``nums`` from monomial to nonzero integer numerator, so the
+coefficient of ``m`` is ``nums[m] / den``.  The pair is normalised:
+``gcd(den, *nums) == 1`` (and ``den == 1`` when there are no terms), which
+makes ``den`` the lcm of the reduced coefficient denominators and equality
+a comparison of ``den`` and ``nums``.  Every exact operation runs on Python
+ints: a sum scales both operands to the lcm of their denominators, a
+product multiplies numerators over ``den_a * den_b``, a derivative folds
+the denominators of the exponent key into ``den``, and each result is
+normalised by one gcd.  ``Expr.terms`` is a read-only mapping view that
+builds a ``Fraction`` only when a coefficient is read; its length, truth
+value, membership and key iteration read ``nums`` directly.  Exponent keys
+keep their ``Fraction`` coefficients.
+
 The iteration order of ``Expr.terms`` is part of the contract: float
 evaluation sums the terms in that order, so a different order can change
 the last bits of a value and flip a verdict near a numeric threshold.  A
 product visits the pairs of terms in nested term order and lists each
 output monomial where it was first inserted; a running sum that reaches
-zero is dropped, and a later contribution re-inserts it at the end.
+zero is dropped, and a later contribution re-inserts it at the end.  A
+product with a constant operand is therefore the other operand's terms in
+their own order, scaled; it takes that shortcut.
 
 Multiplication is one integer kernel for every kind of term:
 
-* each operand's coefficients are scaled to integer numerators over that
-  operand's lcm denominator, and the product sums ``na*nb`` in Python ints;
+* the stored numerators are multiplied as they are, and the product sums
+  ``na*nb`` in Python ints over ``den_a * den_b``;
 * each coordinate tuple is packed into one int, with a field width taken
   from the operands, ``(max power of a + max power of b).bit_length()``,
   so a field never carries and packed keys add like coordinate tuples;
 * the exp-key sum and the sin^2 reduction depend only on the
   ``(expkey, trig)`` parts of two terms, so they are computed once per
   distinct pair of parts in a product and replayed for every term pair;
-* each output term is unpacked and given its ``Fraction`` coefficient once.
+* each output term is unpacked once.
 
 Float evaluation is one compiled evaluator, ``FloatProgram``.  It serves
 ``evaluate``, ``evaluate_float`` and ``max_term_magnitude``, and the sampled
@@ -57,7 +73,9 @@ that loop computes (``x**p``, ``cos(x)**a``, ``exp`` of the exponent summed
 exactly at a rational point, or in floats at a float point), each monomial
 multiplies its factors in the same order (coefficient, coordinate powers,
 exponential, trig factors), and the sum runs in term order.  Only repeated
-work is removed.
+work is removed.  A row's float coefficient is ``num / den`` on the stored
+ints; int true division is correctly rounded, so it equals float() of the
+reduced ``Fraction`` coefficient.
 
 All values are immutable after construction and all operations are pure;
 expressions may be shared freely across threads.
@@ -66,6 +84,7 @@ expressions may be shared freely across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import Sequence
 
@@ -75,9 +94,6 @@ Trig = tuple[tuple[int, int, int], ...]
 Mono = tuple[Coords, PolyKey, Trig]
 
 MONO_ONE: Mono = ((), (), ())
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -132,7 +148,7 @@ def _key_add(a: PolyKey, b: PolyKey) -> PolyKey:
         return a
     acc = dict(a)
     for mono, c in b:
-        s = acc.get(mono, ZERO) + c
+        s = acc.get(mono, 0) + c
         if s == 0:
             acc.pop(mono, None)
         else:
@@ -149,7 +165,7 @@ def _key_partial(key: PolyKey, i: int) -> PolyKey:
             rest = tuple((k, q) for k, q in coords if k != j)
             if p > 1:
                 rest = tuple(sorted(rest + ((j, p - 1),)))
-            out[rest] = out.get(rest, ZERO) + c * p
+            out[rest] = out.get(rest, 0) + c * p
     return tuple(sorted((m, c) for m, c in out.items() if c != 0))
 
 
@@ -175,33 +191,73 @@ def _key_float(key: PolyKey, point: Sequence[Fraction]) -> float:
 # Expr
 
 
+class Terms(Mapping):
+    """Read-only view of an expression's terms: monomial -> Fraction coefficient.
+
+    Only reading a coefficient builds a ``Fraction``; length, truth value,
+    membership and key iteration read the integer storage.
+    """
+
+    __slots__ = ("_den", "_nums")
+
+    def __init__(self, den: int, nums: dict[Mono, int]):
+        self._den = den
+        self._nums = nums
+
+    def __getitem__(self, mono: Mono) -> Fraction:
+        return Fraction(self._nums[mono], self._den)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __contains__(self, mono) -> bool:
+        return mono in self._nums
+
+    def __repr__(self) -> str:
+        return f"Terms({dict(self.items())!r})"
+
+
 class Expr:
-    """Canonical expression: immutable map from monomial to Fraction coefficient."""
+    """Canonical expression: integer numerators over one denominator (see the module docstring)."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_den", "_nums")
 
-    def __init__(self, nvars: int, terms: dict[Mono, Fraction]):
+    def __init__(self, nvars: int, terms: Mapping[Mono, Fraction]):
         if nvars < 0:
             raise DimensionError(f"nvars must be >= 0, got {nvars}")
+        den = 1
+        for c in terms.values():
+            d = c.denominator
+            if den % d:
+                den = den * d // math.gcd(den, d)
         self.nvars = nvars
-        self.terms = terms
+        self._den, self._nums = _normalised(
+            den, {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
+        )
+
+    @property
+    def terms(self) -> Terms:
+        return Terms(self._den, self._nums)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Expr":
-        return Expr(nvars, {})
+        return _expr(nvars, 1, {})
 
     @staticmethod
     def const(nvars: int, value) -> "Expr":
-        c = Fraction(value)
-        return Expr(nvars, {} if c == 0 else {MONO_ONE: c})
+        c = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return _expr(nvars, c.denominator, {MONO_ONE: c.numerator} if c else {})
 
     @staticmethod
     def coord(nvars: int, i: int) -> "Expr":
         if not 0 <= i < nvars:
             raise DimensionError(f"coordinate index {i} out of range for nvars={nvars}")
-        return Expr(nvars, {(((i, 1),), (), ()): ONE})
+        return _expr(nvars, 1, {(((i, 1),), (), ()): 1})
 
     # -- canonical structure -------------------------------------------------
 
@@ -209,7 +265,8 @@ class Expr:
         return (
             isinstance(other, Expr)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -218,7 +275,7 @@ class Expr:
         return f"Expr({self.nvars}, {to_string(self)!r})"
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -237,19 +294,29 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, c in o.terms.items():
-            s = acc.get(mono, ZERO) + c
-            if s == 0:
-                acc.pop(mono, None)
+        # o's terms accumulate into a copy of self's, over the lcm of the denominators.
+        da, db = self._den, o._den
+        if da == db:
+            den, fb = da, 1
+            acc = dict(self._nums)
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            den = da * fa
+            acc = {m: n * fa for m, n in self._nums.items()}
+        get = acc.get
+        for m, n in o._nums.items():
+            s = get(m, 0) + n * fb
+            if s:
+                acc[m] = s
             else:
-                acc[mono] = s
-        return Expr(self.nvars, acc)
+                del acc[m]
+        return _expr(self.nvars, *_normalised(den, acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(self.nvars, {m: -c for m, c in self.terms.items()})
+        return _expr(self.nvars, self._den, {m: -n for m, n in self._nums.items()})
 
     def __sub__(self, other) -> "Expr":
         o = self._coerce(other)
@@ -264,35 +331,58 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Expr(self.nvars, _product(self.terms, o.terms))
+        return _product(self, o)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"power must be a nonnegative integer, got {n!r}")
-        result = Expr.const(self.nvars, 1)
+        # 1 * base is base itself, so the first factor is taken as it is.
+        result = None
         base = self
         k = n
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return Expr.const(self.nvars, 1) if result is None else result
 
     # -- queries -------------------------------------------------------------
 
     def is_polynomial(self) -> bool:
-        return all(not expk and not trig for _, expk, trig in self.terms)
+        return all(not expk and not trig for _, expk, trig in self._nums)
 
     def constant_value(self) -> Fraction | None:
         """The Fraction value if this expression is a constant, else None."""
-        if not self.terms:
-            return ZERO
-        if len(self.terms) == 1 and MONO_ONE in self.terms:
-            return self.terms[MONO_ONE]
+        nums = self._nums
+        if not nums:
+            return Fraction(0)
+        if len(nums) == 1 and MONO_ONE in nums:
+            return Fraction(nums[MONO_ONE], self._den)
         return None
+
+
+def _expr(nvars: int, den: int, nums: dict[Mono, int]) -> Expr:
+    """An Expr from storage that is already normalised."""
+    e = object.__new__(Expr)
+    e.nvars = nvars
+    e._den = den
+    e._nums = nums
+    return e
+
+
+def _normalised(den: int, nums: dict[Mono, int]) -> tuple[int, dict[Mono, int]]:
+    """Divide ``den`` and every numerator by their gcd; no terms means ``den == 1``."""
+    if den == 1:
+        return den, nums
+    if not nums:
+        return 1, nums
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {m: n // g for m, n in nums.items()}
 
 
 def _reduced_trig(trig: Trig) -> tuple[tuple[Trig, int], ...]:
@@ -318,16 +408,16 @@ def _reduced_trig(trig: Trig) -> tuple[tuple[Trig, int], ...]:
     return tuple(out)
 
 
-def _reduce_sin(mono: Mono, coeff: Fraction, out: dict[Mono, Fraction]) -> None:
-    """Accumulate coeff*mono into out, rewriting sin^2 -> 1 - cos^2 until sin powers <= 1."""
+def _reduce_sin(mono: Mono, num: int, out: dict[Mono, int]) -> None:
+    """Accumulate num*mono into out, rewriting sin^2 -> 1 - cos^2 until sin powers <= 1."""
     coords, expk, trig = mono
     for tr, sign in _reduced_trig(trig):
         m = (coords, expk, tr)
-        s = out.get(m, ZERO) + (coeff if sign > 0 else -coeff)
-        if s == 0:
-            out.pop(m, None)
-        else:
+        s = out.get(m, 0) + (num if sign > 0 else -num)
+        if s:
             out[m] = s
+        else:
+            del out[m]
 
 
 def _trig_mul(a: Trig, b: Trig) -> Trig:
@@ -342,21 +432,17 @@ def _trig_mul(a: Trig, b: Trig) -> Trig:
     return tuple(sorted((i, cp, sp) for i, (cp, sp) in tr.items()))
 
 
-def _operand(terms: dict[Mono, Fraction]):
-    """Common denominator, largest coordinate power, distinct (expkey, trig) parts, and per-term rows."""
-    den = 1
+def _operand(nums: dict[Mono, int]):
+    """Largest coordinate power, distinct (expkey, trig) parts, and per-term rows."""
     top = 0
     parts: dict[tuple[PolyKey, Trig], int] = {}
     rows = []
-    for (coords, expk, trig), c in terms.items():
-        d = c.denominator
-        if den % d:
-            den = den * d // math.gcd(den, d)
+    for (coords, expk, trig), n in nums.items():
         for _, p in coords:
             if p > top:
                 top = p
-        rows.append((coords, c, parts.setdefault((expk, trig), len(parts))))
-    return den, top, parts, rows
+        rows.append((coords, n, parts.setdefault((expk, trig), len(parts))))
+    return top, parts, rows
 
 
 def _pack(coords: Coords, width: int) -> int:
@@ -366,12 +452,22 @@ def _pack(coords: Coords, width: int) -> int:
     return key
 
 
-def _product(ta: dict[Mono, Fraction], tb: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    """Canonical terms of the product of two term maps (see the module docstring)."""
+def _product(a: Expr, b: Expr) -> Expr:
+    """Canonical product of two expressions (see the module docstring)."""
+    ta, tb = a._nums, b._nums
     if not ta or not tb:
-        return {}
-    da, top_a, parts_a, rows_a = _operand(ta)
-    db, top_b, parts_b, rows_b = _operand(tb)
+        return _expr(a.nvars, 1, {})
+    den = a._den * b._den
+    # A constant factor meets every term of the other operand once, with
+    # nothing to merge, cancel or reduce: the pair loop would give the
+    # other operand's terms in their order, scaled.
+    if len(ta) == 1 and MONO_ONE in ta:
+        ta, tb = tb, ta
+    if len(tb) == 1 and MONO_ONE in tb:
+        c = tb[MONO_ONE]
+        return _expr(a.nvars, *_normalised(den, {m: n * c for m, n in ta.items()}))
+    top_a, parts_a, rows_a = _operand(ta)
+    top_b, parts_b, rows_b = _operand(tb)
     width = (top_a + top_b).bit_length()
     # Exp-key sum and sin reduction, once per distinct pair of parts.  Each
     # output part gets an index j; table[ia][ib] replays the pair as (j, sign).
@@ -389,19 +485,15 @@ def _product(ta: dict[Mono, Fraction], tb: dict[Mono, Fraction]) -> dict[Mono, F
     # A key is packed coords * nparts + j.  Coordinate fields cannot carry:
     # each is at most top_a + top_b < 2**width.
     nparts = len(out_parts)
-    b_terms = [
-        (_pack(coords, width) * nparts, c.numerator * (db // c.denominator), ib)
-        for coords, c, ib in rows_b
-    ]
+    b_terms = [(_pack(coords, width) * nparts, nb, ib) for coords, nb, ib in rows_b]
     flat = [
         [(kb + j, nb if sign > 0 else -nb) for kb, nb, ib in b_terms for j, sign in row[ib]]
         for row in table
     ]
     acc: dict[int, int] = {}
     get = acc.get
-    for coords, c, ia in rows_a:
+    for coords, na, ia in rows_a:
         ka = _pack(coords, width) * nparts
-        na = c.numerator * (da // c.denominator)
         for kb, nb in flat[ia]:
             k = ka + kb
             s = get(k, 0) + na * nb
@@ -409,10 +501,9 @@ def _product(ta: dict[Mono, Fraction], tb: dict[Mono, Fraction]) -> dict[Mono, F
                 acc[k] = s
             else:
                 del acc[k]
-    den = da * db
     mask = (1 << width) - 1
     part_list = list(out_parts)
-    out: dict[Mono, Fraction] = {}
+    out: dict[Mono, int] = {}
     for k, n in acc.items():
         packed, j = divmod(k, nparts)
         coords = []
@@ -422,8 +513,8 @@ def _product(ta: dict[Mono, Fraction], tb: dict[Mono, Fraction]) -> dict[Mono, F
                 coords.append((i, packed & mask))
             packed >>= width
             i += 1
-        out[(tuple(coords), *part_list[j])] = Fraction(n, den)
-    return out
+        out[(tuple(coords), *part_list[j])] = n
+    return _expr(a.nvars, *_normalised(den, out))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +523,7 @@ def _product(ta: dict[Mono, Fraction], tb: dict[Mono, Fraction]) -> dict[Mono, F
 
 def is_zero(e: Expr) -> bool:
     """True iff e is identically zero (sound on this expression class)."""
-    return not e.terms
+    return not e._nums
 
 
 def exp_of(p: Expr) -> Expr:
@@ -441,30 +532,52 @@ def exp_of(p: Expr) -> Expr:
         raise UnsupportedExpressionError(
             "exponentials take polynomial exponents only"
         )
-    key = tuple(sorted((coords, c) for (coords, _, _), c in p.terms.items()))
+    den = p._den
+    key = tuple(sorted((coords, Fraction(n, den)) for (coords, _, _), n in p._nums.items()))
     if not key:
         return Expr.const(p.nvars, 1)
-    return Expr(p.nvars, {((), key, ()): ONE})
+    return _expr(p.nvars, 1, {((), key, ()): 1})
 
 
 def cos_of(nvars: int, i: int) -> Expr:
     if not 0 <= i < nvars:
         raise DimensionError(f"coordinate index {i} out of range for nvars={nvars}")
-    return Expr(nvars, {((), (), ((i, 1, 0),)): ONE})
+    return _expr(nvars, 1, {((), (), ((i, 1, 0),)): 1})
 
 
 def sin_of(nvars: int, i: int) -> Expr:
     if not 0 <= i < nvars:
         raise DimensionError(f"coordinate index {i} out of range for nvars={nvars}")
-    return Expr(nvars, {((), (), ((i, 0, 1),)): ONE})
+    return _expr(nvars, 1, {((), (), ((i, 0, 1),)): 1})
 
 
 def partial_derivative(e: Expr, i: int) -> Expr:
-    """Exact partial derivative with respect to coordinate i."""
+    """Exact partial derivative with respect to coordinate i.
+
+    The chain rule for exp(P) needs dP/dx_i, whose Fraction coefficients
+    are put over one denominator ``scale`` first; every contribution is
+    then an integer numerator over ``den * scale``.
+    """
     if not 0 <= i < e.nvars:
         raise DimensionError(f"coordinate index {i} out of range for nvars={e.nvars}")
-    acc: dict[Mono, Fraction] = {}
-    for (coords, expk, trig), c in e.terms.items():
+    # Keys are found by id, as in FloatProgram: the terms hold them alive,
+    # and hashing their Fractions is slow.
+    dkeys: dict[int, PolyKey] = {}
+    scale = 1
+    for _, expk, _ in e._nums:
+        if expk and id(expk) not in dkeys:
+            dkey = dkeys[id(expk)] = _key_partial(expk, i)
+            for _, dc in dkey:
+                d = dc.denominator
+                if scale % d:
+                    scale = scale * d // math.gcd(scale, d)
+    chains = {
+        k: [(dcoords, dc.numerator * (scale // dc.denominator)) for dcoords, dc in dkey]
+        for k, dkey in dkeys.items()
+    }
+    acc: dict[Mono, int] = {}
+    for (coords, expk, trig), n in e._nums.items():
+        ns = n * scale
         # d/dx_i of the coordinate part
         for j, p in coords:
             if j != i:
@@ -472,12 +585,11 @@ def partial_derivative(e: Expr, i: int) -> Expr:
             rest = tuple((k, q) for k, q in coords if k != j)
             if p > 1:
                 rest = tuple(sorted(rest + ((j, p - 1),)))
-            _reduce_sin((rest, expk, trig), c * p, acc)
+            _reduce_sin((rest, expk, trig), ns * p, acc)
         # d/dx_i of exp(P) contributes (dP/dx_i) * exp(P) * rest
         if expk:
-            dkey = _key_partial(expk, i)
-            for dcoords, dc in dkey:
-                _reduce_sin((_coords_mul(coords, dcoords), expk, trig), c * dc, acc)
+            for dcoords, dn in chains[id(expk)]:
+                _reduce_sin((_coords_mul(coords, dcoords), expk, trig), n * dn, acc)
         # d/dx_i of cos^a sin^e on coordinate i
         for j, cp, sp in trig:
             if j != i:
@@ -485,20 +597,20 @@ def partial_derivative(e: Expr, i: int) -> Expr:
             rest_tr = tuple(t for t in trig if t[0] != j)
             if cp:
                 m = tuple(sorted(rest_tr + ((j, cp - 1, sp + 1),)))
-                _reduce_sin((coords, expk, m), -c * cp, acc)
+                _reduce_sin((coords, expk, m), -ns * cp, acc)
             if sp:
                 m = tuple(sorted(rest_tr + ((j, cp + 1, sp - 1),)))
-                _reduce_sin((coords, expk, m), c * sp, acc)
-    return Expr(e.nvars, {m: c for m, c in acc.items() if c != 0})
+                _reduce_sin((coords, expk, m), ns * sp, acc)
+    return _expr(e.nvars, *_normalised(e._den * scale, acc))
 
 
 def _coord_image_index(image: Expr) -> int | None:
     """Index j if image is exactly the coordinate x_j, else None."""
-    if len(image.terms) != 1:
+    if len(image._nums) != 1 or image._den != 1:
         return None
-    (mono, c), = image.terms.items()
+    (mono, n), = image._nums.items()
     coords, expk, trig = mono
-    if c == 1 and not expk and not trig and len(coords) == 1 and coords[0][1] == 1:
+    if n == 1 and not expk and not trig and len(coords) == 1 and coords[0][1] == 1:
         return coords[0][0]
     return None
 
@@ -522,8 +634,10 @@ def substitute(e: Expr, images: Sequence[Expr]) -> Expr:
     else:
         n2 = 0
     out = Expr.zero(n2)
-    for (coords, expk, trig), c in e.terms.items():
-        acc = Expr.const(n2, c)
+    den = e._den
+    for (coords, expk, trig), n in e._nums.items():
+        g = math.gcd(n, den)
+        acc = _expr(n2, den // g, {MONO_ONE: n // g})
         for i, p in coords:
             acc = acc * images[i] ** p
         if expk:
@@ -576,7 +690,7 @@ class FloatProgram:
         keys: dict[PolyKey, int] = {}
         slot_of: dict[int, int] = {}
         for e in exprs:
-            for _, expk, _ in e.terms:
+            for _, expk, _ in e._nums:
                 if expk and id(expk) not in slot_of:
                     slot_of[id(expk)] = keys.setdefault(expk, len(keys) + 1)
         trig_index: dict[tuple, int] = {}
@@ -594,12 +708,12 @@ class FloatProgram:
         def compile_terms(terms, top: list[int]) -> tuple:
             rows = tuple([
                 (
-                    c.numerator / c.denominator,
+                    n / d,
                     coords,
                     slot_of[id(expk)] if expk else 0,
                     trig_factors(trig) if trig else (),
                 )
-                for (coords, expk, trig), c in terms
+                for (coords, expk, trig), n, d in terms
             ])
             for _, coords, _, _ in rows:
                 for i, p in coords:
@@ -611,14 +725,21 @@ class FloatProgram:
         self.nvars = nvars
         self._rows = (
             len(exprs),
-            [(n, compile_terms(e.terms.items(), top)) for n, e in enumerate(exprs) if e.terms],
+            [
+                (n, compile_terms([(m, num, e._den) for m, num in e._nums.items()], top))
+                for n, e in enumerate(exprs)
+                if e._nums
+            ],
         )
         # Powers that only the float-point exponent sums need are kept apart,
         # so that a rational point never computes them.
         self._top = tuple(top)
         self._key_rows = (
             len(keys),
-            [(n, compile_terms((((kc, (), ()), c) for kc, c in key), top)) for n, key in enumerate(keys)],
+            [
+                (n, compile_terms([((kc, (), ()), c.numerator, c.denominator) for kc, c in key], top))
+                for n, key in enumerate(keys)
+            ],
         )
         self._key_top = tuple(top)
         self._keys = tuple(keys)
@@ -720,17 +841,21 @@ def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
     pt = _rational_point(point)
     if len(pt) != e.nvars:
         raise DimensionError(f"expected {e.nvars} coordinates, got {len(pt)}")
-    total = ZERO
-    for (coords, expk, trig), c in e.terms.items():
+    # One unreduced integer ratio, as in _key_float, reduced once at the end.
+    num, den = 0, 1
+    for (coords, expk, trig), n in e._nums.items():
         if expk or trig:
             raise UnsupportedExpressionError(
                 "exact evaluation is defined for pure polynomials only"
             )
-        v = c
+        d = 1
         for i, p in coords:
-            v *= pt[i] ** p
-        total += v
-    return total
+            x = pt[i]
+            n *= x.numerator ** p
+            d *= x.denominator ** p
+        num = num * d + n * den
+        den *= d
+    return Fraction(num, den * e._den)
 
 
 # ---------------------------------------------------------------------------
@@ -754,17 +879,39 @@ def _mono_sort_key(mono: Mono):
     return (-deg, coords, expk, trig)
 
 
-def _render_coeff(c: Fraction) -> str:
-    return str(c)
+def _render_terms(terms, keys: dict) -> str:
+    """Render (mono, numerator, denominator) triples, each ratio reduced, in graded order.
+
+    ``keys`` caches the text of each exponent key for one top-level call.
+    """
+    pieces = []
+    for mono, n, d in sorted(terms, key=lambda t: _mono_sort_key(t[0])):
+        body = _render_mono(mono, keys)
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        if not body:
+            text = mag
+        elif d == 1 and (n == 1 or n == -1):
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if n > 0 else f"-{text}")
+        else:
+            pieces.append(("+ " if n > 0 else "- ") + text)
+    return " ".join(pieces)
 
 
-def _render_mono(mono: Mono) -> str:
+def _render_mono(mono: Mono, keys: dict) -> str:
     coords, expk, trig = mono
     parts = []
     for i, p in coords:
         parts.append(f"x{i + 1}" + (f"^{p}" if p > 1 else ""))
     if expk:
-        inner = to_string(Expr(_max_index(mono) + 1, {(kc, (), ()): c for kc, c in expk}))
+        inner = keys.get(expk)
+        if inner is None:
+            inner = keys[expk] = _render_terms(
+                [((kc, (), ()), c.numerator, c.denominator) for kc, c in expk], keys
+            )
         parts.append(f"exp({inner})")
     for i, cp, sp in trig:
         if cp:
@@ -774,34 +921,16 @@ def _render_mono(mono: Mono) -> str:
     return "*".join(parts)
 
 
-def _max_index(mono: Mono) -> int:
-    coords, expk, trig = mono
-    idx = [i for i, _ in coords] + [i for i, _, _ in trig]
-    for kcoords, _ in expk:
-        idx.extend(i for i, _ in kcoords)
-    return max(idx, default=0)
-
-
 def to_string(e: Expr) -> str:
     """Deterministic canonical rendering (graded order, explicit * and ^)."""
-    if not e.terms:
+    if not e._nums:
         return "0"
-    pieces = []
-    for mono in sorted(e.terms, key=_mono_sort_key):
-        c = e.terms[mono]
-        body = _render_mono(mono)
-        mag = abs(c)
-        if not body:
-            text = _render_coeff(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{_render_coeff(mag)}*{body}"
-        if not pieces:
-            pieces.append(text if c > 0 else f"-{text}")
-        else:
-            pieces.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(pieces)
+    den = e._den
+    terms = []
+    for m, n in e._nums.items():
+        g = math.gcd(n, den)
+        terms.append((m, n // g, den // g))
+    return _render_terms(terms, {})
 
 
 class ExprParseError(ValueError):

@@ -26,6 +26,7 @@ on that field, never on the label string.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -213,8 +214,14 @@ def build_sol() -> ModelSpace:
     )
 
 
+@functools.cache
 def build_space(label: str) -> ModelSpace:
-    """Build a catalog space from its label string."""
+    """Build a catalog space from its label string.
+
+    Memoised per label string: a ``ModelSpace`` is frozen and caches its own
+    connection, so a repeated label returns the same instance and reuses its
+    Christoffel table.  A bad label is not cached; it raises every time.
+    """
     parts = label.strip().split(":")
     kind = parts[0].lower()
     try:

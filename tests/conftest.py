@@ -138,3 +138,62 @@ def reference_evaluate_float(e: Expr, point) -> float:
                 v *= math.sin(point[i]) ** sp
         total += v
     return total
+
+
+# ---------------------------------------------------------------------------
+# Rendering as it was before the integer storage, kept as the reference for
+# ``exprcore.to_string``: one Fraction per coefficient, and every exponent
+# key rendered again for every monomial that carries it.
+
+
+def _reference_sort_key(mono):
+    coords, expk, trig = mono
+    deg = sum(p for _, p in coords) + sum(cp + sp for _, cp, sp in trig)
+    return (-deg, coords, expk, trig)
+
+
+def _reference_max_index(mono) -> int:
+    coords, expk, trig = mono
+    idx = [i for i, _ in coords] + [i for i, _, _ in trig]
+    for kcoords, _ in expk:
+        idx.extend(i for i, _ in kcoords)
+    return max(idx, default=0)
+
+
+def _reference_render_mono(mono) -> str:
+    coords, expk, trig = mono
+    parts = []
+    for i, p in coords:
+        parts.append(f"x{i + 1}" + (f"^{p}" if p > 1 else ""))
+    if expk:
+        inner = reference_to_string(
+            Expr(_reference_max_index(mono) + 1, {(kc, (), ()): c for kc, c in expk})
+        )
+        parts.append(f"exp({inner})")
+    for i, cp, sp in trig:
+        if cp:
+            parts.append(f"cos(x{i + 1})" + (f"^{cp}" if cp > 1 else ""))
+        if sp:
+            parts.append(f"sin(x{i + 1})")
+    return "*".join(parts)
+
+
+def reference_to_string(e: Expr) -> str:
+    if not e.terms:
+        return "0"
+    pieces = []
+    for mono in sorted(e.terms, key=_reference_sort_key):
+        c = e.terms[mono]
+        body = _reference_render_mono(mono)
+        mag = abs(c)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if c > 0 else f"-{text}")
+        else:
+            pieces.append(("+ " if c > 0 else "- ") + text)
+    return " ".join(pieces)

@@ -8,6 +8,7 @@ import pytest
 
 from infharm.calculus import (
     NumericTension,
+    _child_seed,
     _witness_candidates,
     energy_density,
     fd_p_tension,
@@ -135,6 +136,25 @@ class TestInfinityTension:
         assert isinstance(pts, tuple) and _witness_candidates(3) is pts
         assert len(pts) == 1 + 2 * 3 + 200
         assert pts[:3] == ((1, 1, 1), (1, 0, 0), (-1, 0, 0))
+
+    def test_sample_points_equal_fresh_fractions(self):
+        for nvars, count, seed, den in ((1, 64, 0, 64), (3, 64, 7, 64), (2, 200, 5, 8), (4, 9, 12, 3)):
+            rng = Random(_child_seed(seed, f"points:{nvars}:{count}"))
+            fresh = [
+                tuple(Fraction(rng.randint(-den, den), den) for _ in range(nvars)) for _ in range(count)
+            ]
+            assert sample_points(nvars, count, seed, denominator=den) == fresh
+
+    def test_zero_components_are_not_sampled(self, monkeypatch):
+        x1 = Expr.coord(2, 0)
+        assert not numeric_zero_check([Expr.zero(2), x1], 2, seed=1)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled an all-zero tension")
+
+        monkeypatch.setattr("infharm.calculus.sample_points", no_sampling)
+        assert numeric_zero_check([Expr.zero(2), x1 - x1], 2, seed=1)
+        assert numeric_zero_check([], 2, seed=1)
 
     def test_quadratic_into_sol_nonzero(self):
         spec = quadratic_map([[[1]], [[0]], [[0]]])

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from infharm import exprcore
 from infharm.exprcore import (
     DimensionError,
     Expr,
@@ -34,6 +35,7 @@ from conftest import (
     reference_evaluate,
     reference_evaluate_float,
     reference_max_term_magnitude,
+    reference_to_string,
 )
 
 
@@ -469,3 +471,249 @@ class TestProductKernel:
         got = a * b
         assert got.terms == reference_product(a, b)
         assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def assert_normalised(e):
+    """The storage invariant: den > 0, no zero numerator, gcd(den, *nums) == 1."""
+    den, nums = e._den, e._nums
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert list(e.terms.items()) == [(m, Fraction(n, den)) for m, n in nums.items()]
+
+
+def rational_operand(rng, n):
+    """A kernel operand, or a constant, with rational coefficients and exponent keys."""
+    r = rng.random()
+    if r < 0.15:
+        return Expr.const(n, rand_coeff(rng, 9, 12) or 1)
+    e = kernel_operand(rng, n) * rand_coeff(rng, 5, 6)
+    if r < 0.35:
+        e = e + exp_of(rand_coeff(rng, 3, 5) * x(n, rng.randrange(n)) + Fraction(1, 3)) * rand_coeff(rng)
+    return e
+
+
+class TestIntegerStorage:
+    def test_every_operation_keeps_the_storage_normalised(self):
+        rng = Random(909)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            a, b = rational_operand(rng, n), rational_operand(rng, n)
+            c = rand_coeff(rng, 7, 9)
+            results = [
+                a, b, a + b, a - b, b - a, a + a, a - a, -a, a + c, c - a, a * b, b * a,
+                a * c, c * b, a * Expr.const(n, Fraction(1, 3)), a ** 2, b ** 0,
+                partial_derivative(a, rng.randrange(n)), partial_derivative(b, 0),
+                substitute(a, [x(n, (i + 1) % n) for i in range(n)]),
+                Expr(n, dict(a.terms)),
+            ]
+            if not any(trig for _, _, trig in a.terms):
+                results.append(substitute(a, [x(n, i) * Fraction(2, 3) + 1 for i in range(n)]))
+            if a.is_polynomial():
+                results.append(exp_of(a))
+            for e in results:
+                assert_normalised(e)
+        zero = x(2, 0) * Fraction(1, 2) - x(2, 0) * Fraction(1, 2)
+        assert (zero._den, zero._nums) == (1, {})
+        assert zero == Expr.zero(2) == Expr(2, {MONO: Fraction(0)})
+
+    def test_products_match_the_per_pair_reference_with_rational_and_constant_operands(self):
+        rng = Random(910)
+        constants = 0
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            a, b = rational_operand(rng, n), rational_operand(rng, n)
+            constants += a.constant_value() is not None or b.constant_value() is not None
+            assert list((a * b).terms.items()) == list(reference_product(a, b).items())
+        assert constants > 80
+
+    def test_a_constant_factor_keeps_the_other_operands_order(self):
+        x1, x2 = x(2, 0), x(2, 1)
+        e = x2 * sin_of(2, 0) + Fraction(3, 4) * x1 ** 2 - exp_of(x2) + Fraction(5, 6) * cos_of(2, 1)
+        for c in (Expr.const(2, Fraction(-4, 15)), Expr.const(2, 6), Expr.const(2, 1)):
+            for got in (c * e, e * c):
+                assert list(got.terms.items()) == list(reference_product(c, e).items())
+                assert list(got.terms) == list(e.terms)
+                assert_normalised(got)
+
+    def test_equal_values_have_equal_storage(self):
+        x1 = x(1, 0)
+        a = Fraction(1, 6) * x1 + Fraction(1, 3)
+        b = (x1 + 2) * Fraction(1, 6)
+        assert (a._den, a._nums) == (b._den, b._nums) == (6, {(((0, 1),), (), ()): 1, MONO: 2})
+        assert a == b
+        assert Fraction(1, 2) * x1 != x1 * Fraction(1, 3)
+
+    def test_terms_view_builds_a_fraction_only_when_a_coefficient_is_read(self, fractions_made):
+        rng = Random(911)
+        exprs = [random_expr(rng, 3) * rand_coeff(rng) for _ in range(20)]
+        fractions_made.clear()
+        for e in exprs:
+            view = e.terms
+            assert len(view) == len(e._nums) and bool(view) == bool(e._nums)
+            assert list(view) == list(e._nums)
+            assert all(m in view for m in e._nums) and MONO_MISSING not in view
+        assert fractions_made == []
+        e = next(e for e in exprs if e.terms)
+        e.terms[next(iter(e.terms))]
+        assert len(fractions_made) == 1
+
+    def test_arithmetic_builds_no_fraction(self, fractions_made):
+        rng = Random(912)
+        pairs = [
+            (random_expr(rng, 3, allow_exp=False) * rand_coeff(rng), random_expr(rng, 3, allow_exp=False))
+            for _ in range(40)
+        ]
+        fractions_made.clear()
+        for a, b in pairs:
+            a + b, a - b, -a, a * b, a * 3, 2 - a, a ** 3, partial_derivative(a * b, 1)
+            substitute(a, [x(3, 1), x(3, 0), x(3, 2)])
+            to_string(a * b)
+        assert fractions_made == []
+
+    def test_terms_is_read_only(self):
+        e = x(1, 0) + 1
+        with pytest.raises(TypeError):
+            e.terms[MONO] = Fraction(2)
+        with pytest.raises(AttributeError):
+            e.terms = {}
+
+
+def reference_partial(e, i):
+    """The per-term Fraction derivative, kept as an oracle for the integer one."""
+
+    def put(acc, mono, c):
+        work = [(mono[2], c)]
+        while work:
+            tr, c = work.pop()
+            hot = next((t for t in tr if t[2] >= 2), None)
+            if hot is not None:
+                k, cp, sp = hot
+                rest = tuple(t for t in tr if t[0] != k)
+                work.append((tuple(sorted(rest + ((k, cp, sp - 2),))), c))
+                work.append((tuple(sorted(rest + ((k, cp + 2, sp - 2),))), -c))
+                continue
+            m = (mono[0], mono[1], tuple(t for t in tr if t[1] or t[2]))
+            s = acc.get(m, 0) + c
+            if s == 0:
+                del acc[m]
+            else:
+                acc[m] = s
+
+    def drop(coords, j, p):
+        rest = tuple((k, q) for k, q in coords if k != j)
+        return tuple(sorted(rest + ((j, p - 1),))) if p > 1 else rest
+
+    acc = {}
+    for (coords, expk, trig), c in e.terms.items():
+        for j, p in coords:
+            if j == i:
+                put(acc, (drop(coords, j, p), expk, trig), c * p)
+        if expk:
+            dkey = {}
+            for kcoords, kc in expk:
+                for j, p in kcoords:
+                    if j == i:
+                        m = drop(kcoords, j, p)
+                        dkey[m] = dkey.get(m, 0) + kc * p
+            for dcoords, dc in sorted((m, v) for m, v in dkey.items() if v):
+                merged = dict(coords)
+                for j, p in dcoords:
+                    merged[j] = merged.get(j, 0) + p
+                put(acc, (tuple(sorted(merged.items())), expk, trig), c * dc)
+        for j, cp, sp in trig:
+            if j == i:
+                rest = tuple(t for t in trig if t[0] != j)
+                if cp:
+                    put(acc, (coords, expk, tuple(sorted(rest + ((j, cp - 1, sp + 1),)))), -c * cp)
+                if sp:
+                    put(acc, (coords, expk, tuple(sorted(rest + ((j, cp + 1, sp - 1),)))), c * sp)
+    return acc
+
+
+class TestIntegerDerivative:
+    def test_matches_the_per_term_reference_in_contents_and_order(self):
+        rng = Random(913)
+        chains = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            e = rational_exponent_expr(rng, n) + rational_operand(rng, n)
+            for i in range(n):
+                got = partial_derivative(e, i)
+                assert list(got.terms.items()) == list(reference_partial(e, i).items())
+                assert_normalised(got)
+                chains += any(expk and any(c.denominator > 1 for _, c in expk) for _, expk, _ in got.terms)
+        # rational exponent keys put their denominators into the result
+        assert chains > 100
+
+
+MONO = ((), (), ())
+MONO_MISSING = (((0, 99),), (), ())
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """Records the arguments of every Fraction built while the test runs."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return made
+
+
+def rational_exponent_expr(rng, n):
+    """random_expr plus exp terms whose keys have rational coefficients and constants."""
+    e = random_expr(rng, n) * rand_coeff(rng, 9, 7)
+    for _ in range(rng.randint(0, 2)):
+        key = rand_coeff(rng, 5, 7) * x(n, rng.randrange(n)) + rand_coeff(rng, 3, 5) * x(n, 0) ** 2
+        key = key + rand_coeff(rng)
+        if key.is_polynomial() and key.terms:
+            e = e + rand_coeff(rng, 11, 3) * exp_of(key) * random_expr(rng, n, allow_exp=False)
+    return e
+
+
+class TestToString:
+    KINDS = {
+        "polynomial": lambda rng, n: random_polynomial(rng, n, terms=rng.randint(1, 6)) * rand_coeff(rng, 12, 9),
+        "exp": lambda rng, n: rational_exponent_expr(rng, n) * random_expr(rng, n, allow_trig=False),
+        "trig": lambda rng, n: random_expr(rng, n, allow_exp=False) * random_expr(rng, n, allow_exp=False),
+        "mixed": lambda rng, n: random_expr(rng, n, terms=5) * rational_exponent_expr(rng, n),
+        # (e + f)(e - f) - (e^2 - f^2): zero only after full cancellation
+        "zero": lambda rng, n: (lambda e, f: (e + f) * (e - f) - (e * e - f * f))(
+            rational_exponent_expr(rng, n), random_expr(rng, n)
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_the_fraction_reference(self, kind):
+        rng = Random(f"to_string:{kind}")
+        make = self.KINDS[kind]
+        shapes = Counter()
+        for _ in range(400):
+            e = make(rng, rng.randint(1, 4))
+            text = to_string(e)
+            assert text == reference_to_string(e)
+            shapes["zero" if not e.terms else "exp" if "exp(" in text else "trig" if "cos(" in text or "sin(" in text else "poly"] += 1
+        if kind == "zero":
+            assert shapes == {"zero": 400}
+        else:
+            assert shapes["zero"] < 40 and shapes["exp" if kind in ("exp", "mixed") else "trig" if kind == "trig" else "poly"] > 100
+
+    def test_each_exponent_key_is_rendered_once(self, monkeypatch):
+        x1, x2 = x(2, 0), x(2, 1)
+        e = (x1 + x2 ** 2 + cos_of(2, 0) + 3) * exp_of(Fraction(2, 3) * x1 - x2) + exp_of(x1) * x2
+        rendered = []
+        real = exprcore._render_terms
+
+        def counting(terms, keys):
+            rendered.append(len(terms))
+            return real(terms, keys)
+
+        monkeypatch.setattr(exprcore, "_render_terms", counting)
+        assert to_string(e) == reference_to_string(e)
+        # the expression itself, then one rendering per distinct key
+        assert len(rendered) == 3

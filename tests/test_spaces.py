@@ -148,3 +148,17 @@ def test_kind_is_the_catalog_family(label):
 def test_kind_does_not_follow_a_custom_label():
     sp = build_conformal(2, Expr.const(2, 3), label="euclid-looking")
     assert sp.kind == "conformal"
+
+
+def test_build_space_returns_one_instance_per_label():
+    for label in ALL_LABELS:
+        sp = build_space(label)
+        assert build_space(label) is sp
+        assert christoffel(build_space(label)) is christoffel(sp)
+
+
+def test_bad_labels_raise_every_time():
+    for label in ("torus:2", "euclid:x", "semi-euclid:2:+*", "conformal:2:x1+"):
+        for _ in range(2):
+            with pytest.raises(SpaceError):
+                build_space(label)
