@@ -110,7 +110,7 @@ def _contract(space: ModelSpace, u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
     for i in range(space.dim):
         for j in range(space.dim):
             gij = space.g_upper[i][j]
-            if gij.terms:
+            if gij:
                 total = total + gij * u[i] * v[j]
     return total
 
@@ -131,7 +131,7 @@ def metric_gradient(space: ModelSpace, f: Expr) -> tuple[Expr, ...]:
         total = Expr.zero(space.dim)
         for j in range(space.dim):
             gij = space.g_upper[i][j]
-            if gij.terms:
+            if gij:
                 total = total + gij * partials[j]
         out.append(total)
     return tuple(out)
@@ -159,12 +159,12 @@ def _hessian_against(space: ModelSpace, u: Expr, weight) -> ClearedExpr:
     for i in range(space.dim):
         for j in range(space.dim):
             wij = weight[i][j]
-            if not wij.terms:
+            if not wij:
                 continue
             hij = table.scale * partial_derivative(du[i], j)
             for k in range(space.dim):
                 gk = table.gamma[k][i][j]
-                if gk.terms:
+                if gk:
                     hij = hij - gk * du[k]
             total = total + wij * hij
     return ClearedExpr(num=total, clearing=table.scale)
@@ -214,7 +214,7 @@ def energy_density(domain: ModelSpace, codomain: ModelSpace, phi) -> ClearedExpr
     for a in range(n):
         for b in range(n):
             hab = codomain.g_lower[a][b]
-            if hab.terms:
+            if hab:
                 num = num + _contract(domain, jac[a], jac[b]) * substitute(hab, comps)
     clearing = substitute(codomain.lower_scale, comps)
     return ClearedExpr(num=num, clearing=clearing)
@@ -283,7 +283,7 @@ def _find_witness(components: Sequence[Expr], nvars: int) -> Witness:
     programs: dict[int, FloatProgram] = {}
     for pt in _witness_candidates(nvars):
         for idx, comp in enumerate(components):
-            if not comp.terms:
+            if not comp:
                 continue
             program = programs.get(idx)
             if program is None:
@@ -310,7 +310,7 @@ def numeric_zero_check(
     Structurally zero components evaluate to 0.0 everywhere, so they are
     dropped, and no point is sampled when none is left.
     """
-    live = [c for c in components if c.terms]
+    live = [c for c in components if c]
     if not live:
         return True
     program = FloatProgram(nvars, live)
@@ -396,7 +396,7 @@ class NumericTension:
         self.dscale = [partial_derivative(codomain.lower_scale, g) for g in range(n)]
         # Each side is compiled once, in the order at() unpacks it; the
         # codomain side holds only the metric entries that are not zero.
-        self._pairs = [(a, b) for a in range(n) for b in range(n) if codomain.g_lower[a][b].terms]
+        self._pairs = [(a, b) for a in range(n) for b in range(n) if codomain.g_lower[a][b]]
         self._domain_side = FloatProgram(m, [
             *(e for row in domain.g_upper for e in row),
             *(e for plane in self.dgu for row in plane for e in row),
@@ -497,8 +497,10 @@ def _numeric_tension_report(
     worst_point = None
     worst_comp = 0
     worst_val = 0.0
+    finite_points = 0
     for pt in points:
         values, scale = evaluator.at(pt)
+        finite_points += math.isfinite(scale) and all(map(math.isfinite, values))
         for idx, val in enumerate(values):
             ratio = abs(val) / (1.0 + scale)
             if ratio > worst:
@@ -507,6 +509,13 @@ def _numeric_tension_report(
                 worst_comp = idx
                 worst_val = val
     zero = worst <= NUMERIC_TOL
+    # A non-finite value is never a witness, so with no finite point a zero
+    # verdict would rest on nothing.
+    if zero and not finite_points:
+        raise UnsupportedExpressionError(
+            f"the numeric fallback saw no sample point, of {len(points)}, at which every"
+            " tension value is finite"
+        )
     return TensionReport(
         energy_density=None,
         energy_clearing=None,
@@ -534,7 +543,7 @@ def tension_field(
     jac = _jacobian(comps, m)
     sc_phi = substitute(tcod.scale, comps)
     gamma_phi = [
-        [[substitute(tcod.gamma[g][a][b], comps) if tcod.gamma[g][a][b].terms else Expr.zero(m)
+        [[substitute(tcod.gamma[g][a][b], comps) if tcod.gamma[g][a][b] else Expr.zero(m)
           for b in range(n)] for a in range(n)]
         for g in range(n)
     ]
@@ -544,17 +553,17 @@ def tension_field(
         for i in range(m):
             for j in range(m):
                 gij = domain.g_upper[i][j]
-                if not gij.terms:
+                if not gij:
                     continue
                 term = partial_derivative(jac[g][i], j) * tdom.scale * sc_phi
                 for k in range(m):
                     gk = tdom.gamma[k][i][j]
-                    if gk.terms:
+                    if gk:
                         term = term - gk * jac[g][k] * sc_phi
                 for a in range(n):
                     for b in range(n):
                         gp = gamma_phi[g][a][b]
-                        if gp.terms:
+                        if gp:
                             term = term + gp * jac[a][i] * jac[b][j] * tdom.scale
                 total = total + gij * term
         out.append(total)

@@ -222,6 +222,8 @@ def cmd_suite(args) -> int:
         ids = list(SUITE_ALL)
     else:
         ids = [t.strip() for t in args.theorem.split(",") if t.strip()]
+        if not ids:
+            raise SpaceError(f"--theorem names no theorem id: {args.theorem!r}")
         unknown = [t for t in ids if t not in THEOREMS]
         if unknown:
             raise SpaceError(
@@ -263,10 +265,10 @@ def _search_space(label: str, family: str):
     if label.startswith("complex:"):
         if family != "holomorphic":
             raise SpaceError("complex:<m> labels apply to the holomorphic family only")
-        m = int(label.split(":")[1])
-        if m < 1:
+        dim = label[len("complex:"):]
+        if not dim.isdecimal() or int(dim) < 1:
             raise SpaceError(f"bad complex dimension in {label!r}")
-        return build_euclidean(2 * m)
+        return build_euclidean(2 * int(dim))
     return build_space(label)
 
 
@@ -316,7 +318,7 @@ def cmd_spaces(args) -> int:
         for i in range(sp.dim):
             for j in range(i, sp.dim):
                 g = sp.g_lower[i][j]
-                if g.terms:
+                if g:
                     entries.append(f"g{i + 1}{j + 1}={to_string(g)}")
         shown = ", ".join(entries[:4]) + ("; ..." if len(entries) > 4 else "")
         scale = to_string(sp.lower_scale)

@@ -13,8 +13,9 @@ Monomials are built from three kinds of atoms over ``nvars`` coordinates:
 A monomial is stored as a hashable triple ``(coords, expkey, trig)``:
 
   coords:  tuple of (index, power), sorted, powers >= 1
-  expkey:  canonical key of the exponent polynomial, () when absent;
-           the key is a tuple of (coords-tuple, Fraction) pairs, sorted
+  expkey:  storage of the exponent polynomial, () when absent: a pair
+           (den, ((coords, num), ...)) normalised like an Expr (below),
+           its int numerators sorted by coords
   trig:    tuple of (index, cos_power, sin_power), sorted, with
            sin_power in {0, 1} and (cos_power, sin_power) != (0, 0)
 
@@ -32,12 +33,15 @@ coefficient of ``m`` is ``nums[m] / den``.  The pair is normalised:
 makes ``den`` the lcm of the reduced coefficient denominators and equality
 a comparison of ``den`` and ``nums``.  Every exact operation runs on Python
 ints: a sum scales both operands to the lcm of their denominators, a
-product multiplies numerators over ``den_a * den_b``, a derivative folds
-the denominators of the exponent key into ``den``, and each result is
-normalised by one gcd.  ``Expr.terms`` is a read-only mapping view that
-builds a ``Fraction`` only when a coefficient is read; its length, truth
-value, membership and key iteration read ``nums`` directly.  Exponent keys
-keep their ``Fraction`` coefficients.
+product multiplies numerators over ``den_a * den_b``, a derivative puts
+the chain-rule factors of the exponents over their lcm denominator, and
+each result is normalised by one gcd.  ``Expr.terms`` is a read-only
+mapping view that builds a ``Fraction`` only when a coefficient is read;
+its length, truth value, membership and key iteration read ``nums``
+directly.  An exponent key reads back as an ``Expr`` (``_key_expr``), so
+key sums, derivatives, substitution and evaluation run the code of every
+other polynomial; only the term order of ``to_string`` turns a key's
+coefficients into ``Fraction`` values, so that keys compare by value.
 
 The iteration order of ``Expr.terms`` is part of the contract: float
 evaluation sums the terms in that order, so a different order can change
@@ -89,7 +93,7 @@ from fractions import Fraction
 from typing import Sequence
 
 Coords = tuple[tuple[int, int], ...]
-PolyKey = tuple[tuple[Coords, Fraction], ...]
+PolyKey = tuple[int, tuple[tuple[Coords, int], ...]]  # or () for no exponential
 Trig = tuple[tuple[int, int, int], ...]
 Mono = tuple[Coords, PolyKey, Trig]
 
@@ -127,7 +131,7 @@ def parse_rational(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# coords / polynomial-key helpers
+# coords helper
 
 
 def _coords_mul(a: Coords, b: Coords) -> Coords:
@@ -139,52 +143,6 @@ def _coords_mul(a: Coords, b: Coords) -> Coords:
     for i, p in b:
         acc[i] = acc.get(i, 0) + p
     return tuple(sorted(acc.items()))
-
-
-def _key_add(a: PolyKey, b: PolyKey) -> PolyKey:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for mono, c in b:
-        s = acc.get(mono, 0) + c
-        if s == 0:
-            acc.pop(mono, None)
-        else:
-            acc[mono] = s
-    return tuple(sorted(acc.items()))
-
-
-def _key_partial(key: PolyKey, i: int) -> PolyKey:
-    out: dict[Coords, Fraction] = {}
-    for coords, c in key:
-        for j, p in coords:
-            if j != i:
-                continue
-            rest = tuple((k, q) for k, q in coords if k != j)
-            if p > 1:
-                rest = tuple(sorted(rest + ((j, p - 1),)))
-            out[rest] = out.get(rest, 0) + c * p
-    return tuple(sorted((m, c) for m, c in out.items() if c != 0))
-
-
-def _key_float(key: PolyKey, point: Sequence[Fraction]) -> float:
-    """float of the exact value of the polynomial key at a rational point.
-
-    The sum is kept as one unreduced integer ratio; true division of ints is
-    correctly rounded, so this equals float() of the reduced Fraction sum.
-    """
-    num, den = 0, 1
-    for coords, c in key:
-        n, d = c.numerator, c.denominator
-        for i, p in coords:
-            x = point[i]
-            n *= x.numerator ** p
-            d *= x.denominator ** p
-        num = num * d + n * den
-        den *= d
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +343,19 @@ def _normalised(den: int, nums: dict[Mono, int]) -> tuple[int, dict[Mono, int]]:
     return den // g, {m: n // g for m, n in nums.items()}
 
 
+def _key_of(p: Expr) -> PolyKey:
+    """The exponent key of a polynomial: its storage, sorted by coords; () for 0."""
+    if not p._nums:
+        return ()
+    return (p._den, tuple(sorted((coords, n) for (coords, _, _), n in p._nums.items())))
+
+
+def _key_expr(nvars: int, key: PolyKey) -> Expr:
+    """The exponent polynomial of a key, its terms in coords order."""
+    den, nums = key
+    return _expr(nvars, den, {(coords, (), ()): n for coords, n in nums})
+
+
 def _reduced_trig(trig: Trig) -> tuple[tuple[Trig, int], ...]:
     """Rewrite sin^2 -> 1 - cos^2 until sin powers <= 1.
 
@@ -473,10 +444,11 @@ def _product(a: Expr, b: Expr) -> Expr:
     # output part gets an index j; table[ia][ib] replays the pair as (j, sign).
     out_parts: dict[tuple[PolyKey, Trig], int] = {}
     table = []
+    nvars = a.nvars
     for ea, ra in parts_a:
         row = []
         for eb, rb in parts_b:
-            expk = _key_add(ea, eb)
+            expk = _key_of(_key_expr(nvars, ea) + _key_expr(nvars, eb)) if ea and eb else ea or eb
             row.append([
                 (out_parts.setdefault((expk, tr), len(out_parts)), sign)
                 for tr, sign in _reduced_trig(_trig_mul(ra, rb))
@@ -514,7 +486,7 @@ def _product(a: Expr, b: Expr) -> Expr:
             packed >>= width
             i += 1
         out[(tuple(coords), *part_list[j])] = n
-    return _expr(a.nvars, *_normalised(den, out))
+    return _expr(nvars, *_normalised(den, out))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +504,7 @@ def exp_of(p: Expr) -> Expr:
         raise UnsupportedExpressionError(
             "exponentials take polynomial exponents only"
         )
-    den = p._den
-    key = tuple(sorted((coords, Fraction(n, den)) for (coords, _, _), n in p._nums.items()))
+    key = _key_of(p)
     if not key:
         return Expr.const(p.nvars, 1)
     return _expr(p.nvars, 1, {((), key, ()): 1})
@@ -554,26 +525,21 @@ def sin_of(nvars: int, i: int) -> Expr:
 def partial_derivative(e: Expr, i: int) -> Expr:
     """Exact partial derivative with respect to coordinate i.
 
-    The chain rule for exp(P) needs dP/dx_i, whose Fraction coefficients
-    are put over one denominator ``scale`` first; every contribution is
-    then an integer numerator over ``den * scale``.
+    The chain rule for exp(P) needs dP/dx_i, taken once per distinct key;
+    these derivatives are put over one denominator ``scale`` first, so that
+    every contribution is an integer numerator over ``den * scale``.
     """
     if not 0 <= i < e.nvars:
         raise DimensionError(f"coordinate index {i} out of range for nvars={e.nvars}")
-    # Keys are found by id, as in FloatProgram: the terms hold them alive,
-    # and hashing their Fractions is slow.
-    dkeys: dict[int, PolyKey] = {}
-    scale = 1
+    dkeys: dict[PolyKey, Expr] = {}
     for _, expk, _ in e._nums:
-        if expk and id(expk) not in dkeys:
-            dkey = dkeys[id(expk)] = _key_partial(expk, i)
-            for _, dc in dkey:
-                d = dc.denominator
-                if scale % d:
-                    scale = scale * d // math.gcd(scale, d)
+        if expk and expk not in dkeys:
+            dkeys[expk] = partial_derivative(_key_expr(e.nvars, expk), i)
+    scale = math.lcm(*(d._den for d in dkeys.values()))
+    # Chain-rule terms run in coords order, which fixes the order of the result's terms.
     chains = {
-        k: [(dcoords, dc.numerator * (scale // dc.denominator)) for dcoords, dc in dkey]
-        for k, dkey in dkeys.items()
+        expk: sorted((dcoords, n * (scale // d._den)) for (dcoords, _, _), n in d._nums.items())
+        for expk, d in dkeys.items()
     }
     acc: dict[Mono, int] = {}
     for (coords, expk, trig), n in e._nums.items():
@@ -588,7 +554,7 @@ def partial_derivative(e: Expr, i: int) -> Expr:
             _reduce_sin((rest, expk, trig), ns * p, acc)
         # d/dx_i of exp(P) contributes (dP/dx_i) * exp(P) * rest
         if expk:
-            for dcoords, dn in chains[id(expk)]:
+            for dcoords, dn in chains[expk]:
                 _reduce_sin((_coords_mul(coords, dcoords), expk, trig), n * dn, acc)
         # d/dx_i of cos^a sin^e on coordinate i
         for j, cp, sp in trig:
@@ -641,12 +607,7 @@ def substitute(e: Expr, images: Sequence[Expr]) -> Expr:
         for i, p in coords:
             acc = acc * images[i] ** p
         if expk:
-            new_exp = Expr.zero(n2)
-            for kcoords, kc in expk:
-                t = Expr.const(n2, kc)
-                for i, p in kcoords:
-                    t = t * images[i] ** p
-                new_exp = new_exp + t
+            new_exp = substitute(_key_expr(e.nvars, expk), images)
             if not new_exp.is_polynomial():
                 raise UnsupportedExpressionError(
                     "substitution produced a non-polynomial exponent"
@@ -685,14 +646,11 @@ class FloatProgram:
         for e in exprs:
             if e.nvars != nvars:
                 raise DimensionError(f"expression uses {e.nvars} coordinates, expected {nvars}")
-        # Exponent keys hold Fractions, which are slow to hash; the terms of
-        # one product share their key object, so a key is found by id first.
         keys: dict[PolyKey, int] = {}
-        slot_of: dict[int, int] = {}
         for e in exprs:
             for _, expk, _ in e._nums:
-                if expk and id(expk) not in slot_of:
-                    slot_of[id(expk)] = keys.setdefault(expk, len(keys) + 1)
+                if expk:
+                    keys.setdefault(expk, len(keys) + 1)
         trig_index: dict[tuple, int] = {}
         base = len(keys) + 1
 
@@ -705,15 +663,16 @@ class FloatProgram:
                     tail.append(trig_index.setdefault((math.sin, i, sp), base + len(trig_index)))
             return tuple(tail)
 
-        def compile_terms(terms, top: list[int]) -> tuple:
+        def compile_expr(e: Expr, top: list[int]) -> tuple:
+            d = e._den
             rows = tuple([
                 (
                     n / d,
                     coords,
-                    slot_of[id(expk)] if expk else 0,
+                    keys[expk] if expk else 0,
                     trig_factors(trig) if trig else (),
                 )
-                for (coords, expk, trig), n, d in terms
+                for (coords, expk, trig), n in e._nums.items()
             ])
             for _, coords, _, _ in rows:
                 for i, p in coords:
@@ -726,7 +685,7 @@ class FloatProgram:
         self._rows = (
             len(exprs),
             [
-                (n, compile_terms([(m, num, e._den) for m, num in e._nums.items()], top))
+                (n, compile_expr(e, top))
                 for n, e in enumerate(exprs)
                 if e._nums
             ],
@@ -737,7 +696,7 @@ class FloatProgram:
         self._key_rows = (
             len(keys),
             [
-                (n, compile_terms([((kc, (), ()), c.numerator, c.denominator) for kc, c in key], top))
+                (n, compile_expr(_key_expr(nvars, key), top))
                 for n, key in enumerate(keys)
             ],
         )
@@ -763,9 +722,10 @@ class FloatProgram:
         self._check_length(pt)
         fl = [x.numerator / x.denominator for x in pt]
         table = self._trig_table(fl)
-        for slot, key in enumerate(self._keys, 1):
+        for slot, (den, nums) in enumerate(self._keys, 1):
+            num, d = _poly_ratio(nums, pt)
             try:
-                table[slot] = math.exp(_key_float(key, pt))
+                table[slot] = math.exp(num / (d * den))
             except OverflowError:
                 table[slot] = None
         powers = [[x ** p for p in range(top + 1)] for x, top in zip(fl, self._top)]
@@ -836,18 +796,15 @@ def max_term_magnitude(e: Expr, point: Sequence) -> float:
     return FloatProgram(e.nvars, (e,)).at(point)[1][0]
 
 
-def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
-    """Exact evaluation; raises UnsupportedExpressionError on exp/cos/sin terms."""
-    pt = _rational_point(point)
-    if len(pt) != e.nvars:
-        raise DimensionError(f"expected {e.nvars} coordinates, got {len(pt)}")
-    # One unreduced integer ratio, as in _key_float, reduced once at the end.
+def _poly_ratio(terms, pt: Sequence[Fraction]) -> tuple[int, int]:
+    """The exact value of a sum of ``(coords, n)`` terms at a rational point.
+
+    The value is one unreduced integer ratio ``(num, den)``; true division
+    of ints is correctly rounded, so ``num / den`` equals float() of the
+    reduced Fraction.
+    """
     num, den = 0, 1
-    for (coords, expk, trig), n in e._nums.items():
-        if expk or trig:
-            raise UnsupportedExpressionError(
-                "exact evaluation is defined for pure polynomials only"
-            )
+    for coords, n in terms:
         d = 1
         for i, p in coords:
             x = pt[i]
@@ -855,6 +812,20 @@ def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
             d *= x.denominator ** p
         num = num * d + n * den
         den *= d
+    return num, den
+
+
+def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
+    """Exact evaluation; raises UnsupportedExpressionError on exp/cos/sin terms."""
+    pt = _rational_point(point)
+    if len(pt) != e.nvars:
+        raise DimensionError(f"expected {e.nvars} coordinates, got {len(pt)}")
+    if not e.is_polynomial():
+        raise UnsupportedExpressionError(
+            "exact evaluation is defined for pure polynomials only"
+        )
+    # One unreduced integer ratio, reduced once at the end.
+    num, den = _poly_ratio(((coords, n) for (coords, _, _), n in e._nums.items()), pt)
     return Fraction(num, den * e._den)
 
 
@@ -876,7 +847,18 @@ def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
 def _mono_sort_key(mono: Mono):
     coords, expk, trig = mono
     deg = sum(p for _, p in coords) + sum(cp + sp for _, cp, sp in trig)
-    return (-deg, coords, expk, trig)
+    # Keys compare term by term, by coords and then by the coefficient's value.
+    value = tuple((kc, Fraction(n, expk[0])) for kc, n in expk[1]) if expk else ()
+    return (-deg, coords, value, trig)
+
+
+def _reduced(den: int, items) -> list[tuple[Mono, int, int]]:
+    """(mono, numerator, denominator) triples of ``(mono, n)`` items over ``den``, each reduced."""
+    out = []
+    for m, n in items:
+        g = math.gcd(n, den)
+        out.append((m, n // g, den // g))
+    return out
 
 
 def _render_terms(terms, keys: dict) -> str:
@@ -909,9 +891,9 @@ def _render_mono(mono: Mono, keys: dict) -> str:
     if expk:
         inner = keys.get(expk)
         if inner is None:
-            inner = keys[expk] = _render_terms(
-                [((kc, (), ()), c.numerator, c.denominator) for kc, c in expk], keys
-            )
+            den, nums = expk
+            terms = _reduced(den, [((kc, (), ()), n) for kc, n in nums])
+            inner = keys[expk] = _render_terms(terms, keys)
         parts.append(f"exp({inner})")
     for i, cp, sp in trig:
         if cp:
@@ -925,12 +907,7 @@ def to_string(e: Expr) -> str:
     """Deterministic canonical rendering (graded order, explicit * and ^)."""
     if not e._nums:
         return "0"
-    den = e._den
-    terms = []
-    for m, n in e._nums.items():
-        g = math.gcd(n, den)
-        terms.append((m, n // g, den // g))
-    return _render_terms(terms, {})
+    return _render_terms(_reduced(e._den, e._nums.items()), {})
 
 
 class ExprParseError(ValueError):

@@ -57,6 +57,28 @@ def random_point(rng: Random, nvars: int, den: int = 8) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# Exponent keys as the oracles read them: (coords, Fraction) pairs in coords
+# order.  ``exprcore`` stores a key as ``(den, ((coords, num), ...))``.
+
+
+def decode_key(expk) -> tuple:
+    """The (coords, Fraction) pairs of an exponent key; () when there is no exponential."""
+    if not expk:
+        return ()
+    den, nums = expk
+    return tuple((coords, Fraction(n, den)) for coords, n in nums)
+
+
+def encode_key(pairs) -> tuple:
+    """The exponent key of (coords, nonzero Fraction) pairs; () when there are none."""
+    pairs = sorted(pairs)
+    if not pairs:
+        return ()
+    den = math.lcm(*(c.denominator for _, c in pairs))
+    return (den, tuple((coords, c.numerator * (den // c.denominator)) for coords, c in pairs))
+
+
+# ---------------------------------------------------------------------------
 # Per-expression float evaluation, kept as the reference for the compiled
 # evaluator (``exprcore.FloatProgram``): one call per expression, one
 # monomial at a time, every exponent recomputed for every monomial.
@@ -64,7 +86,7 @@ def random_point(rng: Random, nvars: int, den: int = 8) -> list[Fraction]:
 
 def _reference_key_float(key, point) -> float:
     num, den = 0, 1
-    for coords, c in key:
+    for coords, c in decode_key(key):
         n, d = c.numerator, c.denominator
         for i, p in coords:
             x = point[i]
@@ -122,7 +144,7 @@ def reference_evaluate_float(e: Expr, point) -> float:
             v *= point[i] ** p
         if expk:
             arg = 0.0
-            for kcoords, kc in expk:
+            for kcoords, kc in decode_key(expk):
                 t = float(kc)
                 for i, p in kcoords:
                     t *= point[i] ** p
@@ -149,13 +171,13 @@ def reference_evaluate_float(e: Expr, point) -> float:
 def _reference_sort_key(mono):
     coords, expk, trig = mono
     deg = sum(p for _, p in coords) + sum(cp + sp for _, cp, sp in trig)
-    return (-deg, coords, expk, trig)
+    return (-deg, coords, decode_key(expk), trig)
 
 
 def _reference_max_index(mono) -> int:
     coords, expk, trig = mono
     idx = [i for i, _ in coords] + [i for i, _, _ in trig]
-    for kcoords, _ in expk:
+    for kcoords, _ in decode_key(expk):
         idx.extend(i for i, _ in kcoords)
     return max(idx, default=0)
 
@@ -167,7 +189,7 @@ def _reference_render_mono(mono) -> str:
         parts.append(f"x{i + 1}" + (f"^{p}" if p > 1 else ""))
     if expk:
         inner = reference_to_string(
-            Expr(_reference_max_index(mono) + 1, {(kc, (), ()): c for kc, c in expk})
+            Expr(_reference_max_index(mono) + 1, {(kc, (), ()): c for kc, c in decode_key(expk)})
         )
         parts.append(f"exp({inner})")
     for i, cp, sp in trig:

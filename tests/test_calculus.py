@@ -173,6 +173,16 @@ class TestInfinityTension:
         assert rep.mode == "numeric"
         assert rep.components is None
 
+    def test_numeric_fallback_with_no_finite_point_is_unsupported(self):
+        # z = exp(800 + x1) overflows at every sample point, and e^{2z} with it.
+        comps = [Expr.coord(2, 0), Expr.coord(2, 1), parse_expr("exp(800 + x1)", 2)]
+        nt = NumericTension(E2, SOL, comps)
+        for pt in sample_points(2, 64, 0):
+            values, scale = nt.at(pt)
+            assert not all(math.isfinite(v) for v in (scale, *values))
+        with pytest.raises(UnsupportedExpressionError, match="every tension value is finite"):
+            infinity_tension(E2, SOL, comps)
+
     def test_exact_zero_passes_numeric_sampling(self):
         spec = custom_map(
             3,

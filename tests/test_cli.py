@@ -189,6 +189,14 @@ class TestSuiteCommand:
         code = main(["suite", "--theorem", "T99", "--trials", "5", "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("theorem", ["", ","])
+    def test_no_theorem_is_not_a_pass(self, capsys, theorem):
+        code = main(["suite", "--theorem", theorem, "--trials", "5", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "total disagreements" not in captured.out
+        assert "names no theorem id" in captured.err
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_no_trials_is_not_a_pass(self, capsys, trials):
         code = main(["suite", "--theorem", "T6.1", "--trials", trials, "--seed", "1"])
@@ -237,6 +245,13 @@ class TestSearchCommand:
         assert "counterexamples" not in captured.out
         assert "holomorphic maps need even-dimensional Euclidean spaces (C^k = R^2k)" in captured.err
         assert "euclid:3 has odd dimension 3" in captured.err
+
+    @pytest.mark.parametrize("label", ["complex:x", "complex:", "complex:0", "complex:1:2"])
+    def test_bad_complex_dimension_exit_two(self, capsys, label):
+        code = main(["search", "--family", "holomorphic", "--domain", label, "--codomain", "complex:1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"bad complex dimension in {label!r}" in captured.err
 
     def test_holomorphic_complex_labels(self, capsys):
         code = main(

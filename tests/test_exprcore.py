@@ -28,6 +28,8 @@ from infharm.exprcore import (
 )
 
 from conftest import (
+    decode_key,
+    encode_key,
     rand_coeff,
     random_expr,
     random_point,
@@ -153,7 +155,7 @@ class TestEvaluation:
                 for i, p in coords:
                     v *= float(Fraction(point[i])) ** p
                 if expk:
-                    arg = sum(kc * math.prod(Fraction(point[i]) ** p for i, p in kcoords) for kcoords, kc in expk)
+                    arg = sum(kc * math.prod(Fraction(point[i]) ** p for i, p in kcoords) for kcoords, kc in decode_key(expk))
                     try:
                         v *= math.exp(float(arg))
                     except OverflowError:
@@ -361,8 +363,8 @@ def reference_product(a, b, seen=None):
             coords = dict(ca)
             for i, p in cb:
                 coords[i] = coords.get(i, 0) + p
-            expk = dict(ea)
-            for key, c in eb:
+            expk = dict(decode_key(ea))
+            for key, c in decode_key(eb):
                 s = expk.get(key, 0) + c
                 if s:
                     expk[key] = s
@@ -372,7 +374,7 @@ def reference_product(a, b, seen=None):
             for i, cp, sp in tb:
                 c0, s0 = trig.get(i, (0, 0))
                 trig[i] = (c0 + cp, s0 + sp)
-            co, ek = tuple(sorted(coords.items())), tuple(sorted(expk.items()))
+            co, ek = tuple(sorted(coords.items())), encode_key(expk.items())
             work = [(tuple(sorted((i, cp, sp) for i, (cp, sp) in trig.items())), c1 * c2)]
             while work:
                 tr, c = work.pop()
@@ -474,12 +476,24 @@ class TestProductKernel:
 
 
 def assert_normalised(e):
-    """The storage invariant: den > 0, no zero numerator, gcd(den, *nums) == 1."""
+    """The storage invariant: den > 0, no zero numerator, gcd(den, *nums) == 1.
+
+    Every exponent key ``(den, ((coords, num), ...))`` keeps it too, with its
+    terms sorted by coords.  Returns the keys checked.
+    """
     den, nums = e._den, e._nums
     assert type(den) is int and den > 0
     assert all(type(n) is int and n != 0 for n in nums.values())
     assert math.gcd(den, *nums.values()) == 1
     assert list(e.terms.items()) == [(m, Fraction(n, den)) for m, n in nums.items()]
+    keys = {expk for _, expk, _ in nums if expk}
+    for kden, knums in keys:
+        assert type(kden) is int and kden > 0
+        assert knums and all(type(n) is int and n != 0 for _, n in knums)
+        assert math.gcd(kden, *(n for _, n in knums)) == 1
+        coords = [c for c, _ in knums]
+        assert coords == sorted(set(coords))
+    return keys
 
 
 def rational_operand(rng, n):
@@ -496,10 +510,12 @@ def rational_operand(rng, n):
 class TestIntegerStorage:
     def test_every_operation_keeps_the_storage_normalised(self):
         rng = Random(909)
+        keys = set()
         for _ in range(300):
             n = rng.randint(1, 3)
             a, b = rational_operand(rng, n), rational_operand(rng, n)
             c = rand_coeff(rng, 7, 9)
+            e = exp_of(c * x(n, 0) ** 2 + Fraction(1, 3) * x(n, n - 1))
             results = [
                 a, b, a + b, a - b, b - a, a + a, a - a, -a, a + c, c - a, a * b, b * a,
                 a * c, c * b, a * Expr.const(n, Fraction(1, 3)), a ** 2, b ** 0,
@@ -511,8 +527,13 @@ class TestIntegerStorage:
                 results.append(substitute(a, [x(n, i) * Fraction(2, 3) + 1 for i in range(n)]))
             if a.is_polynomial():
                 results.append(exp_of(a))
-            for e in results:
-                assert_normalised(e)
+            results += [
+                e, a * e, partial_derivative(a * e, n - 1),
+                substitute(e, [x(n, i) * Fraction(2, 3) + 1 for i in range(n)]),
+            ]
+            for r in results:
+                keys |= assert_normalised(r)
+        assert sum(1 for kden, knums in keys if kden > 1 and len(knums) > 1) > 200
         zero = x(2, 0) * Fraction(1, 2) - x(2, 0) * Fraction(1, 2)
         assert (zero._den, zero._nums) == (1, {})
         assert zero == Expr.zero(2) == Expr(2, {MONO: Fraction(0)})
@@ -564,11 +585,23 @@ class TestIntegerStorage:
             (random_expr(rng, 3, allow_exp=False) * rand_coeff(rng), random_expr(rng, 3, allow_exp=False))
             for _ in range(40)
         ]
+        # Exponent keys with rational coefficients run on ints too; only the
+        # term order of to_string reads them as Fractions.
+        exp_cases = []
+        for _ in range(30):
+            a = rational_exponent_expr(rng, 3)
+            b = random_expr(rng, 3, allow_trig=False) * exp_of(random_polynomial(rng, 3) * rand_coeff(rng))
+            images = [x(3, 2) * rand_coeff(rng, 3, 4) + rand_coeff(rng), x(3, 0), x(3, 1) + 1]
+            exp_cases.append((a, b, images))
+        assert sum(1 for a, b, _ in exp_cases for _, expk, _ in (a * b)._nums if expk and expk[0] > 1) > 100
         fractions_made.clear()
         for a, b in pairs:
             a + b, a - b, -a, a * b, a * 3, 2 - a, a ** 3, partial_derivative(a * b, 1)
             substitute(a, [x(3, 1), x(3, 0), x(3, 2)])
             to_string(a * b)
+        for a, b, images in exp_cases:
+            a + b, a - b, -a, a * b, a * 3, 2 - a, a ** 2, partial_derivative(a * b, 1)
+            substitute(a, [x(3, 1), x(3, 0), x(3, 2)]), substitute(b, images)
         assert fractions_made == []
 
     def test_terms_is_read_only(self):
@@ -611,7 +644,7 @@ def reference_partial(e, i):
                 put(acc, (drop(coords, j, p), expk, trig), c * p)
         if expk:
             dkey = {}
-            for kcoords, kc in expk:
+            for kcoords, kc in decode_key(expk):
                 for j, p in kcoords:
                     if j == i:
                         m = drop(kcoords, j, p)
@@ -642,7 +675,7 @@ class TestIntegerDerivative:
                 got = partial_derivative(e, i)
                 assert list(got.terms.items()) == list(reference_partial(e, i).items())
                 assert_normalised(got)
-                chains += any(expk and any(c.denominator > 1 for _, c in expk) for _, expk, _ in got.terms)
+                chains += any(expk and any(c.denominator > 1 for _, c in decode_key(expk)) for _, expk, _ in got.terms)
         # rational exponent keys put their denominators into the result
         assert chains > 100
 
@@ -702,6 +735,19 @@ class TestToString:
             assert shapes == {"zero": 400}
         else:
             assert shapes["zero"] < 40 and shapes["exp" if kind in ("exp", "mixed") else "trig" if kind == "trig" else "poly"] > 100
+
+    def test_exponent_keys_order_by_the_value_of_their_coefficients(self):
+        x1 = x(1, 0)
+        cases = {
+            "exp(1/2*x1) + exp(x1)": exp_of(x1 * Fraction(1, 2)) + exp_of(x1),
+            "exp(-x1) + exp(1/3*x1)": exp_of(-x1) + exp_of(x1 * Fraction(1, 3)),
+            "exp(1/3*x1) + exp(1/2*x1)": exp_of(x1 * Fraction(1, 2)) + exp_of(x1 * Fraction(1, 3)),
+            "exp(2/3*x1) + exp(x1)": exp_of(x1) + exp_of(x1 * Fraction(2, 3)),
+            "exp(2/3*x1 + 1/2) + exp(2/3*x1 + 1)": exp_of(x1 * Fraction(2, 3) + 1)
+            + exp_of(x1 * Fraction(2, 3) + Fraction(1, 2)),
+        }
+        for text, e in cases.items():
+            assert to_string(e) == text == reference_to_string(e)
 
     def test_each_exponent_key_is_rendered_once(self, monkeypatch):
         x1, x2 = x(2, 0), x(2, 1)
