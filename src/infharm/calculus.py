@@ -372,6 +372,21 @@ class NumericTension:
     to the same quantity as the cleared symbolic components (up to the
     positive clearing factor), used for the exact/numeric coherence checks
     and as the fallback when composition leaves the symbolic class.
+
+    The assembly is a straight-line kernel generated by ``_tension_kernel``
+    for the shape of the call: the two dimensions, the codomain metric pairs
+    that are not structurally zero, and which of those pairs are live at the
+    point (a pair whose value and derivatives are all 0.0, say where
+    ``e^{-2z}`` underflows, adds nothing).  The cache key is the shape alone
+    because the shape alone decides the code: every map of one shape shares
+    one compiled kernel, and a run compiles a handful.  ``exec`` is safe here
+    because the source is built from integer indices only; no expression
+    text or other input reaches it.  The float operations and their order
+    are the contract: the kernel performs the arithmetic of the nested
+    (k, i, j, pair) assembly term by term in its order, with ``sum()`` for the
+    chain-rule factors (from Python 3.12 on it rounds unlike a chain of
+    ``+``) and the comparison of ``max`` for the scale, so every value and
+    the scale are bit for bit what that assembly gives.
     """
 
     def __init__(self, domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...]):
@@ -394,9 +409,9 @@ class NumericTension:
             for a in range(n)
         ]
         self.dscale = [partial_derivative(codomain.lower_scale, g) for g in range(n)]
-        # Each side is compiled once, in the order at() unpacks it; the
+        # Each side is compiled once, in the order the kernel unpacks it; the
         # codomain side holds only the metric entries that are not zero.
-        self._pairs = [(a, b) for a in range(n) for b in range(n) if codomain.g_lower[a][b]]
+        self._pairs = tuple((a, b) for a in range(n) for b in range(n) if codomain.g_lower[a][b])
         self._domain_side = FloatProgram(m, [
             *(e for row in domain.g_upper for e in row),
             *(e for plane in self.dgu for row in plane for e in row),
@@ -412,60 +427,81 @@ class NumericTension:
 
     def at(self, point) -> tuple[list[float], float]:
         """Tension component values at a rational point, plus a size scale."""
-        m, n = self.m, self.n
-        take = iter(self._domain_side.at(point)[0]).__next__
-        gu = [[take() for _ in range(m)] for _ in range(m)]
-        dgu = [[[take() for _ in range(m)] for _ in range(m)] for _ in range(m)]
-        jval = [[take() for _ in range(m)] for _ in range(n)]
-        hval = [[[take() for _ in range(m)] for _ in range(m)] for _ in range(n)]
-        phi_pt = [take() for _ in range(n)]
-        take = iter(self._codomain_side.at_float(phi_pt)[0]).__next__
-        d_val = take()
-        dd_val = [take() for _ in range(n)]
-        h_val = [[0.0] * n for _ in range(n)]
-        dh_val = [[[0.0] * n for _ in range(n)] for _ in range(n)]  # [gamma][a][b]
-        for a, b in self._pairs:
-            gv = take()
-            h_val[a][b] = gv / d_val
-            for g in range(n):
-                dgv = take()
-                dh_val[g][a][b] = (dgv * d_val - gv * dd_val[g]) / (d_val * d_val)
-        # Metric pairs with a zero value and zero derivatives add nothing.
-        pairs = [
-            (a, b)
-            for a, b in self._pairs
-            if not (h_val[a][b] == 0.0 and all(dh_val[g][a][b] == 0.0 for g in range(n)))
-        ]
-        wgrad = [0.0] * m
-        for k in range(m):
-            # The chain-rule factor depends on (k, a, b) only.
-            terms = [
-                (a, b, h_val[a][b], sum(dh_val[g][a][b] * jval[g][k] for g in range(n)))
-                for a, b in pairs
-            ]
-            total = 0.0
-            for i in range(m):
-                for j in range(m):
-                    gij = gu[i][j]
-                    dgij = dgu[i][j][k]
-                    for a, b, hab, chain in terms:
-                        jai = jval[a][i]
-                        jbj = jval[b][j]
-                        dpart = dgij * jai * jbj + gij * (hval[a][i][k] * jbj + jai * hval[b][j][k])
-                        total += dpart * hab
-                        total += gij * jai * jbj * chain
-            wgrad[k] = total
-        values = []
-        scale = 0.0
-        for a in range(n):
-            total = 0.0
-            for i in range(m):
-                for j in range(m):
-                    term = gu[i][j] * jval[a][i] * wgrad[j]
-                    scale = max(scale, abs(term))
-                    total += term
-            values.append(total)
-        return values, scale
+        n = self.n
+        domain_values = self._domain_side.at(point)[0]
+        codomain_values = self._codomain_side.at_float(domain_values[-n:])[0]
+        d_val, dd_val = codomain_values[0], codomain_values[1:n + 1]
+        # Per pair: h = g_ab / d and its n derivatives dh_g, in the order the kernel unpacks them.
+        h_values = []
+        live = []
+        for pos in range(n + 1, len(codomain_values), n + 1):
+            gv = codomain_values[pos]
+            row = [gv / d_val, *[
+                (dgv * d_val - gv * ddv) / (d_val * d_val)
+                for dgv, ddv in zip(codomain_values[pos + 1:pos + 1 + n], dd_val)
+            ]]
+            h_values += row
+            # A pair whose value and derivatives are all 0.0 adds nothing.
+            live.append(row.count(0.0) <= n)
+        return _tension_kernel(self.m, n, self._pairs, tuple(live))(domain_values, h_values)
+
+
+@functools.cache
+def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple):
+    """The tension assembly for one shape, compiled as a straight-line function.
+
+    ``kernel(domain_values, h_values)`` unpacks the domain side of
+    ``NumericTension`` (g^ij, dg^ij/dx_k, J_ai, dJ_ai/dx_k, phi) and, per
+    metric pair, h and dh/dy_g.  Per k it forms the chain factors
+    ``sum((dh_g * J_gk, ...))`` of the live pairs and sums the gradient of
+    |dphi|^2 over (i, j, live pair); then it contracts g^ij J_ai w_j and
+    keeps the largest |term| as the scale.
+    """
+    rm, rn = range(m), range(n)
+    names = [
+        *(f"g{i}_{j}" for i in rm for j in rm),
+        *(f"d{i}_{j}_{k}" for i in rm for j in rm for k in rm),
+        *(f"j{a}_{i}" for a in rn for i in rm),
+        *(f"h{a}_{i}_{k}" for a in rn for i in rm for k in rm),
+        *("_" for _ in rn),
+    ]
+    h_names = [name for p in range(len(pairs)) for name in (f"q{p}", *(f"e{p}_{g}" for g in rn))]
+    lines = [
+        "def kernel(domain_values, h_values):",
+        f"    [{', '.join(names)}] = domain_values",
+        f"    [{', '.join(h_names)}] = h_values",
+    ]
+    live_pairs = [(p, a, b) for p, (a, b) in enumerate(pairs) if live[p]]
+    for k in rm:
+        for p, _, _ in live_pairs:
+            products = "".join(f"e{p}_{g} * j{g}_{k}, " for g in rn)
+            lines.append(f"    c{p} = sum(({products}))")
+        lines.append("    t = 0.0")
+        for i in rm:
+            for j in rm:
+                for p, a, b in live_pairs:
+                    lines.append(
+                        f"    t += (d{i}_{j}_{k} * j{a}_{i} * j{b}_{j}"
+                        f" + g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}"
+                    )
+                    lines.append(f"    t += g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}")
+        lines.append(f"    w{k} = t")
+    lines.append("    scale = 0.0")
+    for a in rn:
+        lines.append("    t = 0.0")
+        for i in rm:
+            for j in rm:
+                lines += [
+                    f"    x = g{i}_{j} * j{a}_{i} * w{j}",
+                    "    y = abs(x)",
+                    "    if y > scale: scale = y",
+                    "    t += x",
+                ]
+        lines.append(f"    v{a} = t")
+    lines.append(f"    return [{', '.join(f'v{a}' for a in rn)}], scale")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<tension kernel m={m} n={n}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def independent_numeric_check(

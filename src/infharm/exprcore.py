@@ -844,12 +844,15 @@ def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
 # Division is exact and only by numeric literals.
 
 
-def _mono_sort_key(mono: Mono):
+def _mono_sort_key(mono: Mono, values: dict):
     coords, expk, trig = mono
     deg = sum(p for _, p in coords) + sum(cp + sp for _, cp, sp in trig)
-    # Keys compare term by term, by coords and then by the coefficient's value.
-    value = tuple((kc, Fraction(n, expk[0])) for kc, n in expk[1]) if expk else ()
-    return (-deg, coords, value, trig)
+    return (-deg, coords, values[expk], trig)
+
+
+def _key_value(expk: PolyKey) -> tuple:
+    """An exponent key in comparable form: term by term, coords and then the coefficient's value."""
+    return tuple((kc, Fraction(n, expk[0])) for kc, n in expk[1]) if expk else ()
 
 
 def _reduced(den: int, items) -> list[tuple[Mono, int, int]]:
@@ -864,10 +867,12 @@ def _reduced(den: int, items) -> list[tuple[Mono, int, int]]:
 def _render_terms(terms, keys: dict) -> str:
     """Render (mono, numerator, denominator) triples, each ratio reduced, in graded order.
 
-    ``keys`` caches the text of each exponent key for one top-level call.
+    ``keys`` caches the text of each exponent key for one top-level call;
+    the comparable value of each distinct key is built once per call.
     """
+    values = {expk: _key_value(expk) for expk in {mono[1] for mono, _, _ in terms}}
     pieces = []
-    for mono, n, d in sorted(terms, key=lambda t: _mono_sort_key(t[0])):
+    for mono, n, d in sorted(terms, key=lambda t: _mono_sort_key(t[0], values)):
         body = _render_mono(mono, keys)
         mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         if not body:

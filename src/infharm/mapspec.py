@@ -30,6 +30,7 @@ from fractions import Fraction
 from .exprcore import (
     Expr,
     ExprParseError,
+    UnsupportedExpressionError,
     parse_expr,
     parse_rational,
     partial_derivative,
@@ -514,7 +515,7 @@ def parse_mapspec(document) -> MapSpec:
             return quadratic_map(qs, A, b)
         if kind == "custom":
             m = document.get("m")
-            if not isinstance(m, int) or m < 1:
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                 raise MapSpecError("m", "custom maps need a positive integer domain dimension")
             comps = document.get("components")
             if not isinstance(comps, list) or not comps:
@@ -525,12 +526,12 @@ def parse_mapspec(document) -> MapSpec:
                     raise MapSpecError(f"components[{i}]", "expected an expression string")
                 try:
                     parsed.append(parse_expr(text, m))
-                except ExprParseError as exc:
+                except (ExprParseError, UnsupportedExpressionError) as exc:
                     raise MapSpecError(f"components[{i}]", str(exc)) from None
             return custom_map(m, parsed)
         if kind == "holomorphic":
             m = document.get("m")
-            if not isinstance(m, int) or m < 1:
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                 raise MapSpecError("m", "holomorphic maps need a positive integer variable count")
             comps = document.get("complex")
             if not isinstance(comps, list) or not comps:

@@ -9,6 +9,7 @@ import pytest
 from infharm.calculus import (
     NumericTension,
     _child_seed,
+    _tension_kernel,
     _witness_candidates,
     energy_density,
     fd_p_tension,
@@ -501,6 +502,29 @@ class TestCompiledNumericPaths:
                 assert (repr(values), repr(scale)) == tuple(map(repr, expected))
                 nonfinite += not all(math.isfinite(v) for v in expected[0])
         assert nonfinite >= 3
+
+    def test_underflowing_metric_entry_switches_the_kernel(self):
+        # e^{2z} = e^{800 x1} underflows to 0.0 for x1 below about -0.93 and
+        # overflows above about 0.89, and e^{-2z} the other way round, so the
+        # sample points see more than one set of live metric pairs.
+        x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
+        nt = NumericTension(E2, SOL, (x1, x2, 400 * x1))
+        _tension_kernel.cache_clear()
+        for pt in sample_points(2, 64, seed=0):
+            values, scale = nt.at(pt)
+            assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
+        assert _tension_kernel.cache_info().currsize >= 2
+
+    def test_maps_of_one_shape_share_one_kernel(self):
+        x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
+        pt = (Fraction(1, 2), Fraction(1, 3))
+        first = NumericTension(E2, SOL, (x1, x2, cos_of(2, 0)))
+        second = NumericTension(E2, SOL, (x2 * x1, x1, exp_of(x2) - x1))
+        _tension_kernel.cache_clear()
+        first.at(pt)
+        second.at(pt)
+        info = _tension_kernel.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_fd_p_tension_matches_the_per_component_differences(self):
         rng = Random(161)

@@ -75,6 +75,10 @@ class TestCheck:
             ({"kind": "custom", "m": 1, "components": ["1.2.3*x1"]}, "components[0]"),
             ({"kind": "custom", "m": 1, "components": ["x1", 7]}, "components[1]"),
             ({"kind": "holomorphic", "m": 1, "complex": [None]}, "complex[0]"),
+            # JSON true is not the integer 1, though Python's bool is an int.
+            ({"kind": "custom", "m": True, "components": ["x1"]}, "error: m: "),
+            ({"kind": "holomorphic", "m": True, "complex": ["z"]}, "error: m: "),
+            ({"kind": "custom", "m": 1, "components": ["exp(exp(x1))"]}, "components[0]: exponentials"),
         ],
     )
     def test_malformed_component_exit_two(self, tmp_path, capsys, doc, path):
