@@ -454,8 +454,9 @@ def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple):
     ``NumericTension`` (g^ij, dg^ij/dx_k, J_ai, dJ_ai/dx_k, phi) and, per
     metric pair, h and dh/dy_g.  Per k it forms the chain factors
     ``sum((dh_g * J_gk, ...))`` of the live pairs and sums the gradient of
-    |dphi|^2 over (i, j, live pair); then it contracts g^ij J_ai w_j and
-    keeps the largest |term| as the scale.
+    |dphi|^2 over (i, j, live pair) into w_k, and the |summand|s into u_k;
+    then it contracts g^ij J_ai w_j and keeps the largest |g^ij J_ai| u_j as
+    the scale.
     """
     rm, rn = range(m), range(n)
     names = [
@@ -476,26 +477,30 @@ def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple):
         for p, _, _ in live_pairs:
             products = "".join(f"e{p}_{g} * j{g}_{k}, " for g in rn)
             lines.append(f"    c{p} = sum(({products}))")
-        lines.append("    t = 0.0")
+        lines += ["    t = 0.0", "    u = 0.0"]
         for i in rm:
             for j in rm:
                 for p, a, b in live_pairs:
-                    lines.append(
-                        f"    t += (d{i}_{j}_{k} * j{a}_{i} * j{b}_{j}"
-                        f" + g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}"
-                    )
-                    lines.append(f"    t += g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}")
-        lines.append(f"    w{k} = t")
+                    lines += [
+                        f"    x = (d{i}_{j}_{k} * j{a}_{i} * j{b}_{j}"
+                        f" + g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}",
+                        "    t += x",
+                        "    u += abs(x)",
+                        f"    x = g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}",
+                        "    t += x",
+                        "    u += abs(x)",
+                    ]
+        lines += [f"    w{k} = t", f"    u{k} = u"]
     lines.append("    scale = 0.0")
     for a in rn:
         lines.append("    t = 0.0")
         for i in rm:
             for j in rm:
                 lines += [
-                    f"    x = g{i}_{j} * j{a}_{i} * w{j}",
-                    "    y = abs(x)",
+                    f"    s = g{i}_{j} * j{a}_{i}",
+                    f"    y = abs(s) * u{j}",
                     "    if y > scale: scale = y",
-                    "    t += x",
+                    f"    t += s * w{j}",
                 ]
         lines.append(f"    v{a} = t")
     lines.append(f"    return [{', '.join(f'v{a}' for a in rn)}], scale")

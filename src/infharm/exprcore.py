@@ -754,7 +754,7 @@ def _run(
     ``program`` is the expression count and the rows of each nonzero
     expression by position; a zero expression is 0.0.  An exponential that
     overflowed (slot value None) makes the term +-inf by the sign of the
-    product so far.
+    product so far; a product of 0.0 stays 0.0, and nan stays nan.
     """
     count, rows_by_position = program
     values = [0.0] * count
@@ -768,7 +768,10 @@ def _run(
             if slot:
                 x = table[slot]
                 if x is None:
-                    v = math.inf if v > 0 else -math.inf
+                    if v > 0:
+                        v = math.inf
+                    elif v < 0:
+                        v = -math.inf
                 else:
                     v *= x
             for k in tail:

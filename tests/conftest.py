@@ -97,6 +97,15 @@ def _reference_key_float(key, point) -> float:
     return num / den
 
 
+def _overflowed(v: float) -> float:
+    """A partial product times an overflowing exponential: +-inf by its sign; 0.0 and nan stay."""
+    if v > 0:
+        return math.inf
+    if v < 0:
+        return -math.inf
+    return v
+
+
 def _reference_mono(mono, coeff, pt, fl) -> float:
     coords, expk, trig = mono
     v = coeff.numerator / coeff.denominator
@@ -106,7 +115,7 @@ def _reference_mono(mono, coeff, pt, fl) -> float:
         try:
             v *= math.exp(_reference_key_float(expk, pt))
         except OverflowError:
-            v = math.inf if v > 0 else -math.inf
+            v = _overflowed(v)
     for i, cp, sp in trig:
         x = fl[i]
         if cp:
@@ -152,7 +161,7 @@ def reference_evaluate_float(e: Expr, point) -> float:
             try:
                 v *= math.exp(arg)
             except OverflowError:
-                v = math.inf if v > 0 else -math.inf
+                v = _overflowed(v)
         for i, cp, sp in trig:
             if cp:
                 v *= math.cos(point[i]) ** cp

@@ -403,8 +403,10 @@ def reference_at(nt: NumericTension, point) -> tuple[list[float], float]:
         if not (h_val[a][b] == 0.0 and all(dh_val[g][a][b] == 0.0 for g in range(n)))
     ]
     wgrad = [0.0] * m
+    # wsize[k] sums |summand| over the summands of wgrad[k], in the same order.
+    wsize = [0.0] * m
     for k in range(m):
-        total = 0.0
+        total = size = 0.0
         for i in range(m):
             for j in range(m):
                 for a, b in pairs:
@@ -412,19 +414,21 @@ def reference_at(nt: NumericTension, point) -> tuple[list[float], float]:
                         dgu[i][j][k] * jval[a][i] * jval[b][j]
                         + gu[i][j] * (hval[a][i][k] * jval[b][j] + jval[a][i] * hval[b][j][k])
                     )
-                    total += dpart * h_val[a][b]
                     chain = sum(dh_val[g][a][b] * jval[g][k] for g in range(n))
-                    total += gu[i][j] * jval[a][i] * jval[b][j] * chain
+                    for summand in (dpart * h_val[a][b], gu[i][j] * jval[a][i] * jval[b][j] * chain):
+                        total += summand
+                        size += abs(summand)
         wgrad[k] = total
+        wsize[k] = size
     values = []
     scale = 0.0
     for a in range(n):
         total = 0.0
         for i in range(m):
             for j in range(m):
-                term = gu[i][j] * jval[a][i] * wgrad[j]
-                scale = max(scale, abs(term))
-                total += term
+                factor = gu[i][j] * jval[a][i]
+                scale = max(scale, abs(factor) * wsize[j])
+                total += factor * wgrad[j]
         values.append(total)
     return values, scale
 

@@ -334,8 +334,9 @@ class TestFloatProgram:
                 assert val.hex() == reference_evaluate(e, pt).hex()
                 assert mag.hex() == reference_max_term_magnitude(e, pt).hex()
                 assert fval.hex() == reference_evaluate_float(e, [float(v) for v in pt]).hex()
-        # x2 * exp(800 x1) at x2 = 0: the partial product is 0.0, so the term is -inf.
-        assert program.at([1, 0])[0][:3] == [math.inf, -math.inf, -math.inf]
+        # x2 * exp(800 x1) at x2 = 0: the partial product is 0.0, and so is the term.
+        assert program.at([1, 0])[0][:3] == [math.inf, -math.inf, 0.0]
+        assert program.at([1, Fraction(-1, 2)])[0][2] == -math.inf
 
     def test_dimensions_are_checked(self):
         with pytest.raises(DimensionError):
