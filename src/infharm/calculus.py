@@ -26,6 +26,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import Sequence
 
 from .exprcore import (
@@ -251,10 +253,9 @@ def sample_points(
     """Deterministic rational sample points in [-1, 1]^nvars."""
     rng = random.Random(_child_seed(seed, f"points:{nvars}:{count}"))
     grid = _grid(denominator)
-    return [
-        tuple(grid[rng.randint(-denominator, denominator) + denominator] for _ in range(nvars))
-        for _ in range(count)
-    ]
+    # choice(grid) draws _randbelow(len(grid)) once, exactly as
+    # grid[randint(-denominator, denominator) + denominator] does.
+    return [tuple(map(rng.choice, repeat(grid, nvars))) for _ in range(count)]
 
 
 @functools.cache
@@ -288,7 +289,7 @@ def _find_witness(components: Sequence[Expr], nvars: int) -> Witness:
             program = programs.get(idx)
             if program is None:
                 program = programs[idx] = FloatProgram(comp.nvars, (comp,))
-            val = program.at(pt)[0][0]
+            val = program.at(pt, magnitudes=False)[0][0]
             if math.isfinite(val) and abs(val) > NUMERIC_TOL:
                 return Witness(point=pt, component=idx, value=val)
     raise UnsupportedExpressionError(
@@ -313,10 +314,9 @@ def numeric_zero_check(
     live = [c for c in components if c]
     if not live:
         return True
-    program = FloatProgram(nvars, live)
-    for pt in sample_points(nvars, count, seed):
-        values, magnitudes = program.at(pt)
-        for val, mag in zip(values, magnitudes):
+    values, magnitudes = FloatProgram(nvars, live).at_points(sample_points(nvars, count, seed))
+    for value_column, magnitude_column in zip(values, magnitudes):
+        for val, mag in zip(value_column, magnitude_column):
             if abs(val) > tol * (1.0 + mag):
                 return False
     return True
@@ -362,92 +362,142 @@ def infinity_tension(
 # composition of the codomain metric (needed e.g. for trig maps into Sol)
 
 
-class NumericTension:
-    """Pointwise tension evaluator that bypasses symbolic composition.
+# A point whose domain and metric values are all finite and below this in
+# magnitude takes the structural kernel.  Every product the kernel forms has
+# at most seven such factors and every sum few terms, so nothing overflows,
+# and a structurally zero domain-metric entry adds exactly +-0.0 there.  Any
+# other point, a non-finite one included, takes the full kernel.
+_STRUCTURAL_BOUND = 2.0 ** 100
 
-    Domain-side derivatives are taken symbolically once at construction,
-    and both sides are compiled once into a ``FloatProgram``; at each point
-    the codomain metric is evaluated in floats at phi(point) and the tension
-    is assembled numerically.  This is an independent route
-    to the same quantity as the cleared symbolic components (up to the
-    positive clearing factor), used for the exact/numeric coherence checks
-    and as the fallback when composition leaves the symbolic class.
+
+def _domain_metric(space: ModelSpace) -> tuple:
+    """(dg^ij/dx_k, the entries (i, j) that are not structurally zero), once per space."""
+    cache = space._numeric_cache
+    if "domain" not in cache:
+        m, gu = space.dim, space.g_upper
+        dgu = [[[partial_derivative(gu[i][j], k) for k in range(m)] for j in range(m)] for i in range(m)]
+        entries = tuple((i, j) for i in range(m) for j in range(m) if gu[i][j] or any(dgu[i][j]))
+        cache["domain"] = (dgu, entries)
+    return cache["domain"]
+
+
+def _codomain_metric(space: ModelSpace) -> tuple:
+    """(dh_ab/dy_g, d(scale)/dy_g, the nonzero metric pairs, the metric program), once per space.
+
+    The program evaluates the scale, its derivatives, and then per pair
+    h_ab and its derivatives, in the order ``NumericTension`` reads them.
+    """
+    cache = space._numeric_cache
+    if "codomain" not in cache:
+        n, gl = space.dim, space.g_lower
+        dh = [[[partial_derivative(gl[a][b], g) for g in range(n)] for b in range(n)] for a in range(n)]
+        dscale = [partial_derivative(space.lower_scale, g) for g in range(n)]
+        pairs = tuple((a, b) for a in range(n) for b in range(n) if gl[a][b])
+        program = FloatProgram(n, [
+            space.lower_scale,
+            *dscale,
+            *(e for a, b in pairs for e in (gl[a][b], *dh[a][b])),
+        ])
+        cache["codomain"] = (dh, dscale, pairs, program)
+    return cache["codomain"]
+
+
+class NumericTension:
+    """The tension of a map at a list of points, assembled in floats without symbolic composition.
+
+    ``NumericTension(domain, codomain, comps, points)`` takes the map's
+    Jacobian and Hessian symbolically once and evaluates both sides in one
+    batch each: the domain side (g^ij, dg^ij/dx_k, J_ai, dJ_ai/dx_k, phi)
+    at every rational point, then the codomain metric (h = g_ab / scale and
+    its derivatives dh/dy_g) at every image phi(point) in floats.  The
+    metric derivatives and the codomain's compiled metric depend only on the
+    space and are built once per space.  ``at(k)`` assembles the tension at
+    the k-th point.  This is an independent route to the same quantity as the cleared
+    symbolic components (up to the positive clearing factor), used for the
+    exact/numeric coherence checks and as the fallback when composition
+    leaves the symbolic class.
 
     The assembly is a straight-line kernel generated by ``_tension_kernel``
-    for the shape of the call: the two dimensions, the codomain metric pairs
-    that are not structurally zero, and which of those pairs are live at the
+    for the shape of the point: the two dimensions, the codomain metric pairs
+    that are not structurally zero, which of those pairs are live at the
     point (a pair whose value and derivatives are all 0.0, say where
-    ``e^{-2z}`` underflows, adds nothing).  The cache key is the shape alone
+    ``e^{-2z}`` underflows, adds nothing), and the domain-metric entries it
+    sums over.  The structural kernel sums only the entries (i, j) whose g^ij
+    or some dg^ij/dx_k is not structurally zero.  It runs at a point where
+    every domain and metric value is finite and below ``_STRUCTURAL_BOUND``
+    in magnitude; there a dropped entry would add only +-0.0 to running sums
+    that start at +0.0, so it changes no bit.  Any other point takes the
+    full kernel, over every (i, j).  The cache key is the shape alone
     because the shape alone decides the code: every map of one shape shares
     one compiled kernel, and a run compiles a handful.  ``exec`` is safe here
     because the source is built from integer indices only; no expression
-    text or other input reaches it.  The float operations and their order
-    are the contract: the kernel performs the arithmetic of the nested
-    (k, i, j, pair) assembly term by term in its order, with ``sum()`` for the
+    text or other input reaches it.
+
+    The kernel returns the tension values and a scale for the tolerance.
+    Per k, it sums the gradient of |dphi|^2 into w_k and the |summand|s of
+    that sum, in the same order, into u_k; the scale is the largest
+    |g^ij J_ai| u_j.  So it bounds every summand that cancels inside w, and a
+    harmonic map's values stay within rounding error of it.  The float
+    operations and their order are the contract, with ``sum()`` for the
     chain-rule factors (from Python 3.12 on it rounds unlike a chain of
-    ``+``) and the comparison of ``max`` for the scale, so every value and
-    the scale are bit for bit what that assembly gives.
+    ``+``) and the comparison of ``max`` for the scale; ``reference_at`` in
+    the tests is the per-expression assembly they equal bit for bit.
     """
 
-    def __init__(self, domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...]):
+    def __init__(
+        self, domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...], points: Sequence
+    ):
         m, n = domain.dim, codomain.dim
         self.domain = domain
         self.codomain = codomain
         self.comps = comps
         self.m, self.n = m, n
+        self.dgu, self._entries = _domain_metric(domain)
+        self.dh, self.dscale, self._pairs, codomain_side = _codomain_metric(codomain)
         self.jac = _jacobian(comps, m)
         self.hess = [
             [[partial_derivative(self.jac[a][i], k) for k in range(m)] for i in range(m)]
             for a in range(n)
         ]
-        self.dgu = [
-            [[partial_derivative(domain.g_upper[i][j], k) for k in range(m)] for j in range(m)]
-            for i in range(m)
-        ]
-        self.dh = [
-            [[partial_derivative(codomain.g_lower[a][b], g) for g in range(n)] for b in range(n)]
-            for a in range(n)
-        ]
-        self.dscale = [partial_derivative(codomain.lower_scale, g) for g in range(n)]
-        # Each side is compiled once, in the order the kernel unpacks it; the
-        # codomain side holds only the metric entries that are not zero.
-        self._pairs = tuple((a, b) for a in range(n) for b in range(n) if codomain.g_lower[a][b])
-        self._domain_side = FloatProgram(m, [
+        domain_side = FloatProgram(m, [
             *(e for row in domain.g_upper for e in row),
             *(e for plane in self.dgu for row in plane for e in row),
             *(e for row in self.jac for e in row),
             *(e for plane in self.hess for row in plane for e in row),
             *comps,
         ])
-        self._codomain_side = FloatProgram(n, [
-            codomain.lower_scale,
-            *self.dscale,
-            *(e for a, b in self._pairs for e in (codomain.g_lower[a][b], *self.dh[a][b])),
-        ])
-
-    def at(self, point) -> tuple[list[float], float]:
-        """Tension component values at a rational point, plus a size scale."""
-        n = self.n
-        domain_values = self._domain_side.at(point)[0]
-        codomain_values = self._codomain_side.at_float(domain_values[-n:])[0]
-        d_val, dd_val = codomain_values[0], codomain_values[1:n + 1]
+        domain_cols = domain_side.at_points(points, magnitudes=False)[0]
+        cod = codomain_side.at_float_points(list(zip(*domain_cols[-n:])), magnitudes=False)[0]
         # Per pair: h = g_ab / d and its n derivatives dh_g, in the order the kernel unpacks them.
-        h_values = []
-        live = []
-        for pos in range(n + 1, len(codomain_values), n + 1):
-            gv = codomain_values[pos]
-            row = [gv / d_val, *[
-                (dgv * d_val - gv * ddv) / (d_val * d_val)
-                for dgv, ddv in zip(codomain_values[pos + 1:pos + 1 + n], dd_val)
-            ]]
-            h_values += row
+        d, dd = cod[0], cod[1:n + 1]
+        d2 = list(map(mul, d, d))
+        h_cols = []
+        live_cols = []
+        for pos in range(n + 1, len(cod), n + 1):
+            gv = cod[pos]
+            pair = [list(map(truediv, gv, d)), *(
+                list(map(truediv, map(sub, map(mul, dgv, d), map(mul, gv, ddv)), d2))
+                for dgv, ddv in zip(cod[pos + 1:pos + 1 + n], dd)
+            )]
+            h_cols += pair
             # A pair whose value and derivatives are all 0.0 adds nothing.
-            live.append(row.count(0.0) <= n)
-        return _tension_kernel(self.m, n, self._pairs, tuple(live))(domain_values, h_values)
+            live_cols.append(list(map(any, zip(*pair))))
+        self._domain_rows = list(zip(*domain_cols))
+        self._h_rows = list(zip(*h_cols))
+        self._live = list(zip(*live_cols))
+
+    def at(self, k: int) -> tuple[list[float], float]:
+        """Tension component values at the k-th point, plus a size scale."""
+        domain_values, h_values = self._domain_rows[k], self._h_rows[k]
+        # hypot is inf or nan when any value is, and at least every |value|.
+        size = math.hypot(*domain_values, *h_values)
+        entries = self._entries if size < _STRUCTURAL_BOUND else None
+        kernel = _tension_kernel(self.m, self.n, self._pairs, self._live[k], entries)
+        return kernel(domain_values, h_values)
 
 
 @functools.cache
-def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple):
+def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple, entries: tuple | None):
     """The tension assembly for one shape, compiled as a straight-line function.
 
     ``kernel(domain_values, h_values)`` unpacks the domain side of
@@ -456,7 +506,8 @@ def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple):
     ``sum((dh_g * J_gk, ...))`` of the live pairs and sums the gradient of
     |dphi|^2 over (i, j, live pair) into w_k, and the |summand|s into u_k;
     then it contracts g^ij J_ai w_j and keeps the largest |g^ij J_ai| u_j as
-    the scale.
+    the scale.  (i, j) runs over ``entries`` in their order, or over every
+    entry when ``entries`` is None.
     """
     rm, rn = range(m), range(n)
     names = [
@@ -473,35 +524,35 @@ def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple):
         f"    [{', '.join(h_names)}] = h_values",
     ]
     live_pairs = [(p, a, b) for p, (a, b) in enumerate(pairs) if live[p]]
+    if entries is None:
+        entries = [(i, j) for i in rm for j in rm]
     for k in rm:
         for p, _, _ in live_pairs:
             products = "".join(f"e{p}_{g} * j{g}_{k}, " for g in rn)
             lines.append(f"    c{p} = sum(({products}))")
         lines += ["    t = 0.0", "    u = 0.0"]
-        for i in rm:
-            for j in rm:
-                for p, a, b in live_pairs:
-                    lines += [
-                        f"    x = (d{i}_{j}_{k} * j{a}_{i} * j{b}_{j}"
-                        f" + g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}",
-                        "    t += x",
-                        "    u += abs(x)",
-                        f"    x = g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}",
-                        "    t += x",
-                        "    u += abs(x)",
-                    ]
+        for i, j in entries:
+            for p, a, b in live_pairs:
+                lines += [
+                    f"    x = (d{i}_{j}_{k} * j{a}_{i} * j{b}_{j}"
+                    f" + g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}",
+                    "    t += x",
+                    "    u += abs(x)",
+                    f"    x = g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}",
+                    "    t += x",
+                    "    u += abs(x)",
+                ]
         lines += [f"    w{k} = t", f"    u{k} = u"]
     lines.append("    scale = 0.0")
     for a in rn:
         lines.append("    t = 0.0")
-        for i in rm:
-            for j in rm:
-                lines += [
-                    f"    s = g{i}_{j} * j{a}_{i}",
-                    f"    y = abs(s) * u{j}",
-                    "    if y > scale: scale = y",
-                    f"    t += s * w{j}",
-                ]
+        for i, j in entries:
+            lines += [
+                f"    s = g{i}_{j} * j{a}_{i}",
+                f"    y = abs(s) * u{j}",
+                "    if y > scale: scale = y",
+                f"    t += s * w{j}",
+            ]
         lines.append(f"    v{a} = t")
     lines.append(f"    return [{', '.join(f'v{a}' for a in rn)}], scale")
     namespace: dict = {}
@@ -520,9 +571,10 @@ def independent_numeric_check(
     """All numerically assembled tension values stay below tol at sample points."""
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
-    evaluator = NumericTension(domain, codomain, comps)
-    for pt in sample_points(domain.dim, count, seed):
-        values, scale = evaluator.at(pt)
+    points = sample_points(domain.dim, count, seed)
+    evaluator = NumericTension(domain, codomain, comps, points)
+    for k in range(len(points)):
+        values, scale = evaluator.at(k)
         for val in values:
             if abs(val) > tol * (1.0 + scale):
                 return False
@@ -532,15 +584,15 @@ def independent_numeric_check(
 def _numeric_tension_report(
     domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...], seed: int
 ) -> TensionReport:
-    evaluator = NumericTension(domain, codomain, comps)
     points = sample_points(domain.dim, SAMPLE_COUNT, seed)
+    evaluator = NumericTension(domain, codomain, comps, points)
     worst = 0.0
     worst_point = None
     worst_comp = 0
     worst_val = 0.0
     finite_points = 0
-    for pt in points:
-        values, scale = evaluator.at(pt)
+    for k, pt in enumerate(points):
+        values, scale = evaluator.at(k)
         finite_points += math.isfinite(scale) and all(map(math.isfinite, values))
         for idx, val in enumerate(values):
             ratio = abs(val) / (1.0 + scale)
@@ -668,14 +720,18 @@ def phm_composed_p_tension(
 # finite-difference oracle for the p-tension (flat pairs), fourth order
 
 
-def _fd4(f, x: list[float], i: int, h: float) -> list[float]:
-    """Fourth-order central difference along coordinate i of a list-valued f."""
-    def at(delta: float) -> list[float]:
+def _fd4_stencil(x: Sequence[float], i: int, h: float) -> list[list[float]]:
+    """The points x + s h e_i for s = 2, 1, -1, -2, in that order."""
+    out = []
+    for delta in (2 * h, h, -h, -2 * h):
         y = list(x)
         y[i] += delta
-        return f(y)
+        out.append(y)
+    return out
 
-    far, near, back, far_back = at(2 * h), at(h), at(-h), at(-2 * h)
+
+def _fd4(far, near, back, far_back, h: float) -> list[float]:
+    """Fourth-order central difference from list-valued samples on ``_fd4_stencil``."""
     return [
         (-a + 8 * b - 8 * c + d) / (12 * h)
         for a, b, c, d in zip(far, near, back, far_back)
@@ -689,26 +745,26 @@ def fd_p_tension(
 
     Computes sum_i d_i(W^{(p-2)/2} d_i phi^g) with all derivatives taken by
     fourth-order central differences on float evaluations of the components;
-    independent of the symbolic differentiation path.  Every component is
-    evaluated in one compiled pass per point.
+    independent of the symbolic differentiation path.  The divergence needs
+    the flux at 4m points around ``point``, and each flux needs the gradient
+    from 4m points around it; all 16 m^2 points are evaluated in one batch.
     """
     m = comps[0].nvars
-    program = FloatProgram(m, comps)
-
-    def values(y: list[float]) -> list[float]:
-        return program.at_float(y)[0]
-
-    def flux(i: int, y: list[float]) -> list[float]:
-        """W^{(p-2)/2} d_i phi^g at y, for every g."""
-        grad = [_fd4(values, y, j, h) for j in range(m)]  # grad[j][g] = d_j phi^g
+    outer = [y for i in range(m) for y in _fd4_stencil(point, i, h)]
+    inner = [z for y in outer for j in range(m) for z in _fd4_stencil(y, j, h)]
+    values = list(zip(*FloatProgram(m, comps).at_float_points(inner, magnitudes=False)[0]))
+    fluxes = []
+    for o in range(len(outer)):
+        # W^{(p-2)/2} d_i phi^g at the o-th outer point, which lies along direction i.
+        base = 4 * m * o
+        grad = [_fd4(*values[base + 4 * j:base + 4 * j + 4], h) for j in range(m)]  # grad[j][g] = d_j phi^g
         w = 0.0
         for g in range(len(comps)):
             for j in range(m):
                 w += grad[j][g] ** 2
         wpow = w ** ((p - 2) / 2.0)
-        return [wpow * d for d in grad[i]]
-
-    divergence = [_fd4(lambda y, i=i: flux(i, y), list(point), i, h) for i in range(m)]
+        fluxes.append([wpow * d for d in grad[o // 4]])
+    divergence = [_fd4(*fluxes[4 * i:4 * i + 4], h) for i in range(m)]
     out = []
     for g in range(len(comps)):
         total = 0.0

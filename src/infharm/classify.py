@@ -871,10 +871,11 @@ def _suite_phm(trial: int, rng: Random, seed: int):
     ok = all(is_zero(x - y) for x, y in zip(div_form, composed))
     if ok:
         comps = materialize(spec)
-        program = FloatProgram(m, div_form)
-        for pt in sample_points(m, 5, _child_seed(seed, f"PHM:{trial}")):
+        points = sample_points(m, 5, _child_seed(seed, f"PHM:{trial}"))
+        sym_values = zip(*FloatProgram(m, div_form).at_points(points, magnitudes=False)[0])
+        for pt, sym_at_pt in zip(points, sym_values):
             fd = fd_p_tension(comps, 4, [float(v) for v in pt])
-            for sym_val, fd_val in zip(program.at(pt)[0], fd):
+            for sym_val, fd_val in zip(sym_at_pt, fd):
                 if abs(sym_val - fd_val) > 1e-6 * max(1.0, abs(sym_val), abs(fd_val)):
                     ok = False
     detail = None if ok else {"map": serialize_mapspec(spec)}

@@ -66,20 +66,23 @@ Multiplication is one integer kernel for every kind of term:
 
 Float evaluation is one compiled evaluator, ``FloatProgram``.  It serves
 ``evaluate``, ``evaluate_float`` and ``max_term_magnitude``, and the sampled
-checks in ``calculus`` compile their expressions once and evaluate them at
-many points.  Compilation turns each expression into rows in ``Expr.terms``
-order.  At each point every coordinate is converted to float once, and each
-coordinate power up to the largest one used, each distinct cos/sin power and
-each distinct exponent key (its slot) is computed once into a table.  The
-values are bit-identical to a loop that
-evaluates monomial by monomial: each table entry is the float expression
-that loop computes (``x**p``, ``cos(x)**a``, ``exp`` of the exponent summed
-exactly at a rational point, or in floats at a float point), each monomial
-multiplies its factors in the same order (coefficient, coordinate powers,
-exponential, trig factors), and the sum runs in term order.  Only repeated
-work is removed.  A row's float coefficient is ``num / den`` on the stored
-ints; int true division is correctly rounded, so it equals float() of the
-reduced ``Fraction`` coefficient.
+checks in ``calculus`` evaluate their expressions at all their points in one
+batch.  Compilation turns each expression into rows in ``Expr.terms`` order.
+A batch computes one column (a value per point) per coordinate power,
+distinct cos/sin power and distinct exponent key (its slot); then, row by
+row, it multiplies the row's coefficient by its factor columns in the order
+(coordinate powers, exponential, trig factors) and adds the terms to the
+expression's running column, one C-level ``map`` per step.  The values are
+bit-identical to a loop that evaluates point by point and monomial by
+monomial: each point sees the same floats (``x**p``, ``cos(x)**a``, ``exp``
+of the exponent summed exactly at a rational point, or in floats at a float
+point) and the same operations in the same order, and ``max(best, abs(v))``
+replaces ``best`` exactly when ``abs(v) > best`` does, nan included.  An
+overflowing ``exp`` makes the term +-inf by the sign of the product so far,
+and keeps a product of 0.0 or nan.  A row's float coefficient is
+``num / den`` on the stored ints; int true division is correctly rounded, so
+it equals float() of the reduced ``Fraction`` coefficient.  ``at`` and
+``at_float`` are batches of one point.
 
 All values are immutable after construction and all operations are pure;
 expressions may be shared freely across threads.
@@ -90,6 +93,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 Coords = tuple[tuple[int, int], ...]
@@ -632,166 +637,191 @@ def _rational_point(point: Sequence) -> list[Fraction]:
 class FloatProgram:
     """Expressions over ``nvars`` coordinates, compiled once for float evaluation at many points.
 
-    Each expression becomes rows ``(coefficient, coords, slot, tail)`` in
-    ``Expr.terms`` order.  ``coords`` is the term's own tuple of (i, p)
-    pairs, read from a per-point table of coordinate powers; ``slot`` and
-    ``tail`` index a per-point table that holds one value per distinct
-    exponent key (slot 0 means no exponential) and then every distinct
-    cos/sin power.
+    Each expression becomes rows ``(coefficient, factors)`` in ``Expr.terms``
+    order.  ``factors`` are keys into a per-batch table of columns, one value
+    per point: the term's own coords pairs ``(i, p)`` for its coordinate
+    powers, then the int slot of its exponent key (one column per distinct
+    key), then ``(cos|sin, i, k)`` for its trig powers (one column per
+    distinct power).  ``at_points`` and ``at_float_points`` return one column
+    per expression; ``at`` and ``at_float`` are the same loop over a batch of
+    one point.
     """
 
-    __slots__ = ("nvars", "_rows", "_key_rows", "_keys", "_trig", "_top", "_key_top")
+    __slots__ = ("nvars", "_rows", "_key_rows", "_powers", "_key_powers", "_keys", "_trig")
 
     def __init__(self, nvars: int, exprs: Sequence[Expr]):
         for e in exprs:
             if e.nvars != nvars:
                 raise DimensionError(f"expression uses {e.nvars} coordinates, expected {nvars}")
-        keys: dict[PolyKey, int] = {}
-        for e in exprs:
-            for _, expk, _ in e._nums:
-                if expk:
-                    keys.setdefault(expk, len(keys) + 1)
-        trig_index: dict[tuple, int] = {}
-        base = len(keys) + 1
+        slots: dict[PolyKey, int] = {}
+        trig_keys: dict[tuple, None] = {}
 
-        def trig_factors(trig: Trig) -> tuple[int, ...]:
-            tail = []
+        def tail(expk: PolyKey, trig: Trig) -> tuple:
+            out = [slots.setdefault(expk, len(slots))] if expk else []
             for i, cp, sp in trig:
-                if cp:
-                    tail.append(trig_index.setdefault((math.cos, i, cp), base + len(trig_index)))
-                if sp:
-                    tail.append(trig_index.setdefault((math.sin, i, sp), base + len(trig_index)))
-            return tuple(tail)
+                for f, k in ((math.cos, cp), (math.sin, sp)):
+                    if k:
+                        out.append((f, i, k))
+                        trig_keys[f, i, k] = None
+            return tuple(out)
 
-        def compile_expr(e: Expr, top: list[int]) -> tuple:
+        def compile_expr(e: Expr) -> tuple:
             d = e._den
-            rows = tuple([
-                (
-                    n / d,
-                    coords,
-                    keys[expk] if expk else 0,
-                    trig_factors(trig) if trig else (),
-                )
+            return tuple([
+                (n / d, coords + tail(expk, trig) if expk or trig else coords)
                 for (coords, expk, trig), n in e._nums.items()
             ])
-            for _, coords, _, _ in rows:
-                for i, p in coords:
-                    if p > top[i]:
-                        top[i] = p
-            return rows
 
-        top = [0] * nvars
         self.nvars = nvars
-        self._rows = (
-            len(exprs),
-            [
-                (n, compile_expr(e, top))
-                for n, e in enumerate(exprs)
-                if e._nums
-            ],
-        )
+        self._rows = (len(exprs), [(n, compile_expr(e)) for n, e in enumerate(exprs) if e._nums])
+        self._keys = tuple(slots)
+        key_exprs = [_key_expr(nvars, key) for key in self._keys]
+        self._key_rows = (len(key_exprs), [(n, compile_expr(k)) for n, k in enumerate(key_exprs)])
         # Powers that only the float-point exponent sums need are kept apart,
         # so that a rational point never computes them.
-        self._top = tuple(top)
-        self._key_rows = (
-            len(keys),
-            [
-                (n, compile_expr(_key_expr(nvars, key), top))
-                for n, key in enumerate(keys)
-            ],
-        )
-        self._key_top = tuple(top)
-        self._keys = tuple(keys)
-        self._trig = tuple(trig_index)
+        powers = _powers_of(exprs)
+        self._powers = tuple(powers)
+        self._key_powers = tuple(_powers_of(key_exprs) - powers)
+        self._trig = tuple(trig_keys)
 
-    def _check_length(self, point: Sequence) -> None:
-        if len(point) != self.nvars:
-            raise DimensionError(f"expected {self.nvars} coordinates, got {len(point)}")
+    def _columns(self, points: Sequence[Sequence]) -> list[tuple]:
+        """The points as one column per coordinate, after a length check."""
+        for pt in points:
+            if len(pt) != self.nvars:
+                raise DimensionError(f"expected {self.nvars} coordinates, got {len(pt)}")
+        return list(zip(*points)) if points else [()] * self.nvars
 
-    def _trig_table(self, fl: list[float]) -> list:
-        """Slot entries (filled by the caller), then every cos/sin power."""
-        return [0.0] * (len(self._keys) + 1) + [f(fl[i]) ** k for f, i, k in self._trig]
+    def _table(self, cols: list[list[float]], powers: tuple) -> dict:
+        """The power and cos/sin columns; slot columns are filled by the caller."""
+        table = {(i, p): list(map(pow, cols[i], repeat(p))) for i, p in powers}
+        for key in self._trig:
+            f, i, k = key
+            table[key] = list(map(pow, map(f, cols[i]), repeat(k)))
+        return table
 
-    def at(self, point: Sequence) -> tuple[list[float], list[float]]:
-        """Values and largest |monomial| of every expression at a rational point.
+    def at_points(
+        self, points: Sequence[Sequence], magnitudes: bool = True
+    ) -> tuple[list[list[float]], list[list[float]] | None]:
+        """Value columns and largest-|monomial| columns (None unless asked) at rational points.
 
         Each exponent is evaluated exactly and rounded once; ``n / d`` on the
         integer parts is exactly how float() converts a Fraction.
         """
-        pt = _rational_point(point)
-        self._check_length(pt)
-        fl = [x.numerator / x.denominator for x in pt]
-        table = self._trig_table(fl)
-        for slot, (den, nums) in enumerate(self._keys, 1):
-            num, d = _poly_ratio(nums, pt)
+        pts = [_rational_point(pt) for pt in points]
+        cols = [[x.numerator / x.denominator for x in col] for col in self._columns(pts)]
+        table = self._table(cols, self._powers)
+        overflowed = set()
+        for slot, (den, nums) in enumerate(self._keys):
+            column = []
+            for pt in pts:
+                num, d = _poly_ratio(nums, pt)
+                try:
+                    column.append(math.exp(num / (d * den)))
+                except OverflowError:
+                    column.append(None)
+                    overflowed.add(slot)
+            table[slot] = column
+        return _run_columns(self._rows, table, overflowed, len(pts), magnitudes)
+
+    def at_float_points(
+        self, points: Sequence[Sequence[float]], magnitudes: bool = True
+    ) -> tuple[list[list[float]], list[list[float]] | None]:
+        """Value and magnitude columns at float points; exponents are summed in floats."""
+        cols = [list(map(float, col)) for col in self._columns(points)]
+        table = self._table(cols, self._powers + self._key_powers)
+        overflowed = set()
+        args, _ = _run_columns(self._key_rows, table, overflowed, len(points), False)
+        for slot, arg in enumerate(args):
             try:
-                table[slot] = math.exp(num / (d * den))
+                table[slot] = list(map(math.exp, arg))
             except OverflowError:
-                table[slot] = None
-        powers = [[x ** p for p in range(top + 1)] for x, top in zip(fl, self._top)]
-        return _run(self._rows, powers, table)
+                table[slot] = [_exp_or_none(x) for x in arg]
+                overflowed.add(slot)
+        return _run_columns(self._rows, table, overflowed, len(points), magnitudes)
 
-    def at_float(self, point: Sequence[float]) -> tuple[list[float], list[float]]:
-        """Values and largest |monomial| at a float point; exponents are summed in floats."""
-        self._check_length(point)
-        fl = [float(x) for x in point]
-        table = self._trig_table(fl)
-        powers = [[x ** p for p in range(top + 1)] for x, top in zip(fl, self._key_top)]
-        args, _ = _run(self._key_rows, powers, table)
-        for slot, arg in enumerate(args, 1):
-            try:
-                table[slot] = math.exp(arg)
-            except OverflowError:
-                table[slot] = None
-        return _run(self._rows, powers, table)
+    def at(self, point: Sequence, magnitudes: bool = True) -> tuple[list[float], list[float] | None]:
+        """Values and largest |monomial| (None unless asked) of every expression at one rational point."""
+        return _one_point(self.at_points((point,), magnitudes))
+
+    def at_float(
+        self, point: Sequence[float], magnitudes: bool = True
+    ) -> tuple[list[float], list[float] | None]:
+        """Values and largest |monomial| (None unless asked) of every expression at one float point."""
+        return _one_point(self.at_float_points((point,), magnitudes))
 
 
-def _run(
-    program: tuple[int, list], powers: list[list[float]], table: list
-) -> tuple[list[float], list[float]]:
-    """The one float loop: each expression's sum in row order, and its largest |term|.
+def _powers_of(exprs: Sequence[Expr]) -> set[tuple[int, int]]:
+    """Every (i, p) coordinate power in the terms of ``exprs``."""
+    monos = chain.from_iterable(e._nums for e in exprs)
+    return set(chain.from_iterable(map(itemgetter(0), monos)))
+
+
+def _one_point(columns: tuple) -> tuple[list[float], list[float] | None]:
+    values, sizes = columns
+    return [v for v, in values], None if sizes is None else [s for s, in sizes]
+
+
+def _exp_or_none(x: float) -> float | None:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return None
+
+
+def _times_exp(v: float, x: float | None) -> float:
+    """v times an exponential; one that overflowed (None) gives +-inf by the sign of v, 0.0 and nan stay."""
+    if x is not None:
+        return v * x
+    if v > 0:
+        return math.inf
+    if v < 0:
+        return -math.inf
+    return v
+
+
+def _run_columns(
+    program: tuple[int, list], table: dict, overflowed: set, npoints: int, magnitudes: bool
+) -> tuple[list[list[float]], list[list[float]] | None]:
+    """The one float loop: each expression's sum in row order, and its largest |term|, per point.
 
     ``program`` is the expression count and the rows of each nonzero
-    expression by position; a zero expression is 0.0.  An exponential that
-    overflowed (slot value None) makes the term +-inf by the sign of the
-    product so far; a product of 0.0 stays 0.0, and nan stays nan.
+    expression by position; a zero expression is a column of 0.0.  Rows are
+    on the outside and points on the inside: a row's terms are its
+    coefficient multiplied by each factor column in turn with ``mul``, or
+    with ``_times_exp`` for a slot that ``overflowed`` at some point, as one
+    chain of C-level ``map``s over the points, so each point passes through
+    the factors in order.  The terms are added to the expression's running
+    column, which starts at 0.0, and ``max(best, abs(v))`` keeps ``best``
+    unless ``abs(v) > best``, nan included.
     """
     count, rows_by_position = program
-    values = [0.0] * count
-    magnitudes = [0.0] * count
+    values = [[0.0] * npoints for _ in range(count)]
+    sizes = [[0.0] * npoints for _ in range(count)] if magnitudes else None
     for n, rows in rows_by_position:
-        total = 0.0
-        best = 0.0
-        for v, coords, slot, tail in rows:
-            for i, p in coords:
-                v *= powers[i][p]
-            if slot:
-                x = table[slot]
-                if x is None:
-                    if v > 0:
-                        v = math.inf
-                    elif v < 0:
-                        v = -math.inf
-                else:
-                    v *= x
-            for k in tail:
-                v *= table[k]
-            total += v
-            if abs(v) > best:
-                best = abs(v)
+        total = values[n]
+        best = sizes[n] if magnitudes else None
+        for coefficient, factors in rows:
+            v = repeat(coefficient, npoints)
+            for f in factors:
+                v = map(_times_exp if overflowed and f in overflowed else mul, v, table[f])
+            if magnitudes:
+                v = list(v)
+                best = list(map(max, best, map(abs, v)))
+            total = list(map(add, total, v))
         values[n] = total
-        magnitudes[n] = best
-    return values, magnitudes
+        if magnitudes:
+            sizes[n] = best
+    return values, sizes
 
 
 def evaluate(e: Expr, point: Sequence) -> float:
     """Evaluate at a rational point in double precision."""
-    return FloatProgram(e.nvars, (e,)).at(point)[0][0]
+    return FloatProgram(e.nvars, (e,)).at(point, magnitudes=False)[0][0]
 
 
 def evaluate_float(e: Expr, point: Sequence[float]) -> float:
     """Evaluate at a float point (internal numeric paths; no exactness claims)."""
-    return FloatProgram(e.nvars, (e,)).at_float(point)[0][0]
+    return FloatProgram(e.nvars, (e,)).at_float(point, magnitudes=False)[0][0]
 
 
 def max_term_magnitude(e: Expr, point: Sequence) -> float:

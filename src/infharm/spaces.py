@@ -56,6 +56,8 @@ class ModelSpace:
     signature: tuple[int, ...]
     conformal_factor: Expr | None = None
     _christoffel_cache: list = field(default_factory=list, compare=False, repr=False)
+    # Float evaluation data that depends only on the space, filled by calculus.
+    _numeric_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def is_conformal(self) -> bool:

@@ -144,31 +144,43 @@ def reference_max_term_magnitude(e: Expr, point) -> float:
     return best
 
 
+def _reference_mono_float(mono, coeff, point) -> float:
+    coords, expk, trig = mono
+    v = float(coeff)
+    for i, p in coords:
+        v *= point[i] ** p
+    if expk:
+        arg = 0.0
+        for kcoords, kc in decode_key(expk):
+            t = float(kc)
+            for i, p in kcoords:
+                t *= point[i] ** p
+            arg += t
+        try:
+            v *= math.exp(arg)
+        except OverflowError:
+            v = _overflowed(v)
+    for i, cp, sp in trig:
+        if cp:
+            v *= math.cos(point[i]) ** cp
+        if sp:
+            v *= math.sin(point[i]) ** sp
+    return v
+
+
 def reference_evaluate_float(e: Expr, point) -> float:
     assert len(point) == e.nvars
     total = 0.0
-    for (coords, expk, trig), c in e.terms.items():
-        v = float(c)
-        for i, p in coords:
-            v *= point[i] ** p
-        if expk:
-            arg = 0.0
-            for kcoords, kc in decode_key(expk):
-                t = float(kc)
-                for i, p in kcoords:
-                    t *= point[i] ** p
-                arg += t
-            try:
-                v *= math.exp(arg)
-            except OverflowError:
-                v = _overflowed(v)
-        for i, cp, sp in trig:
-            if cp:
-                v *= math.cos(point[i]) ** cp
-            if sp:
-                v *= math.sin(point[i]) ** sp
-        total += v
+    for mono, c in e.terms.items():
+        total += _reference_mono_float(mono, c, point)
     return total
+
+
+def reference_max_term_magnitude_float(e: Expr, point) -> float:
+    best = 0.0
+    for mono, c in e.terms.items():
+        best = max(best, abs(_reference_mono_float(mono, c, point)))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from infharm import calculus
 from infharm.calculus import (
     NumericTension,
     _child_seed,
@@ -177,9 +178,10 @@ class TestInfinityTension:
     def test_numeric_fallback_with_no_finite_point_is_unsupported(self):
         # z = exp(800 + x1) overflows at every sample point, and e^{2z} with it.
         comps = [Expr.coord(2, 0), Expr.coord(2, 1), parse_expr("exp(800 + x1)", 2)]
-        nt = NumericTension(E2, SOL, comps)
-        for pt in sample_points(2, 64, 0):
-            values, scale = nt.at(pt)
+        points = sample_points(2, 64, 0)
+        nt = NumericTension(E2, SOL, comps, points)
+        for k in range(len(points)):
+            values, scale = nt.at(k)
             assert not all(math.isfinite(v) for v in (scale, *values))
         with pytest.raises(UnsupportedExpressionError, match="every tension value is finite"):
             infinity_tension(E2, SOL, comps)
@@ -483,9 +485,10 @@ class TestCompiledNumericPaths:
             dlabel, clabel = self.PAIRS[trial % len(self.PAIRS)]
             dom, cod = build_space(dlabel), build_space(clabel)
             comps = tuple(random_expr(rng, dom.dim, max_deg=2, terms=3) for _ in range(cod.dim))
-            nt = NumericTension(dom, cod, comps)
-            for pt in sample_points(dom.dim, 6, seed=trial):
-                values, scale = nt.at(pt)
+            points = sample_points(dom.dim, 6, seed=trial)
+            nt = NumericTension(dom, cod, comps, points)
+            for k, pt in enumerate(points):
+                values, scale = nt.at(k)
                 assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
         # exp(800 x1) overflows at x1 = 1, and the metric factor exp(2 phi^3) at
         # x1 = 1/2; exp(700 x1) overflows only in its second derivative, where
@@ -499,9 +502,9 @@ class TestCompiledNumericPaths:
         )
         points = ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)), (Fraction(-1), Fraction(1)))
         for comps in maps:
-            nt = NumericTension(E2, SOL, comps)
-            for pt in points:
-                values, scale = nt.at(pt)
+            nt = NumericTension(E2, SOL, comps, points)
+            for k, pt in enumerate(points):
+                values, scale = nt.at(k)
                 expected = reference_at(nt, pt)
                 assert (repr(values), repr(scale)) == tuple(map(repr, expected))
                 nonfinite += not all(math.isfinite(v) for v in expected[0])
@@ -512,23 +515,71 @@ class TestCompiledNumericPaths:
         # overflows above about 0.89, and e^{-2z} the other way round, so the
         # sample points see more than one set of live metric pairs.
         x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
-        nt = NumericTension(E2, SOL, (x1, x2, 400 * x1))
+        points = sample_points(2, 64, seed=0)
+        nt = NumericTension(E2, SOL, (x1, x2, 400 * x1), points)
         _tension_kernel.cache_clear()
-        for pt in sample_points(2, 64, seed=0):
-            values, scale = nt.at(pt)
+        for k, pt in enumerate(points):
+            values, scale = nt.at(k)
             assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
         assert _tension_kernel.cache_info().currsize >= 2
 
     def test_maps_of_one_shape_share_one_kernel(self):
         x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
-        pt = (Fraction(1, 2), Fraction(1, 3))
-        first = NumericTension(E2, SOL, (x1, x2, cos_of(2, 0)))
-        second = NumericTension(E2, SOL, (x2 * x1, x1, exp_of(x2) - x1))
+        points = [(Fraction(1, 2), Fraction(1, 3))]
+        first = NumericTension(E2, SOL, (x1, x2, cos_of(2, 0)), points)
+        second = NumericTension(E2, SOL, (x2 * x1, x1, exp_of(x2) - x1), points)
         _tension_kernel.cache_clear()
-        first.at(pt)
-        second.at(pt)
+        first.at(0)
+        second.at(0)
         info = _tension_kernel.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_a_point_with_a_huge_or_nonfinite_value_takes_the_full_kernel(self, monkeypatch):
+        entries_seen = []
+        kernel = calculus._tension_kernel
+
+        def spy(m, n, pairs, live, entries):
+            entries_seen.append(entries)
+            return kernel(m, n, pairs, live, entries)
+
+        monkeypatch.setattr(calculus, "_tension_kernel", spy)
+        x1 = Expr.coord(2, 0)
+        # At x1 = 1 the Hessian of exp(700 x1) overflows; at x1 = 1/2 every value
+        # is finite but exp(350) is above the structural bound; at x1 = -1 every
+        # value is small.
+        points = [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(-1), Fraction(1))]
+        nt = NumericTension(E2, SOL, (x1, exp_of(700 * x1), cos_of(2, 0)), points)
+        for k, pt in enumerate(points):
+            values, scale = nt.at(k)
+            assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
+        assert entries_seen == [None, None, ((0, 0), (1, 1))]
+
+    def test_the_report_assembles_each_sample_point_once(self, monkeypatch):
+        seen = []
+        at = NumericTension.at
+
+        def counting_at(self, k):
+            seen.append(k)
+            return at(self, k)
+
+        monkeypatch.setattr(NumericTension, "at", counting_at)
+        spec = custom_map(1, [parse_expr("cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1)])
+        rep = infinity_tension(E1, SOL, spec)
+        assert rep.mode == "numeric"
+        assert seen == list(range(64))
+
+    def test_the_sol_null_map_is_harmonic_under_the_summand_scale(self):
+        # phi = (s^2, 0, e^s) with s = x1 + 3/5 x2 + 4/5 x3 null for -dx1^2 + dx2^2 + dx3^2:
+        # its tension cancels inside the gradient of |dphi|^2, so the scale must
+        # bound those summands, not only the final contraction terms.
+        semi = build_space("semi-euclid:3:-++")
+        s = "(x1 + 3/5*x2 + 4/5*x3)"
+        harmonic = custom_map(3, [parse_expr(f"{s}^2", 3), Expr.zero(3), parse_expr(f"exp({s})", 3)])
+        bent = custom_map(3, [parse_expr(f"{s}^2 + x1^2", 3), Expr.zero(3), parse_expr(f"exp({s})", 3)])
+        for seed in range(4):
+            rep = infinity_tension(semi, SOL, harmonic, seed=seed)
+            assert (rep.mode, rep.verdict) == ("numeric", "zero")
+            assert infinity_tension(semi, SOL, bent, seed=seed).verdict == "nonzero"
 
     def test_fd_p_tension_matches_the_per_component_differences(self):
         rng = Random(161)

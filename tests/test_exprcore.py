@@ -37,6 +37,7 @@ from conftest import (
     reference_evaluate,
     reference_evaluate_float,
     reference_max_term_magnitude,
+    reference_max_term_magnitude_float,
     reference_to_string,
 )
 
@@ -322,6 +323,49 @@ class TestFloatProgram:
                     nonfinite += not math.isfinite(val)
         assert checked == 64 * 6 * 3
         assert nonfinite > 20
+
+    def test_a_batch_equals_its_points_one_by_one(self):
+        rng = Random(496)
+        mixed = 0
+        for n, exprs, _ in self.batches():
+            points = [
+                [Fraction(rng.randint(-64, 64), rng.choice([1, 3, 64, 1000])) for _ in range(n)]
+                for _ in range(12)
+            ]
+            fpoints = [[float(v) for v in pt] for pt in points]
+            program = FloatProgram(n, exprs)
+            values, magnitudes = program.at_points(points)
+            float_values, float_magnitudes = program.at_float_points(fpoints)
+            bare, none = program.at_points(points, magnitudes=False)
+            bare_float, float_none = program.at_float_points(fpoints, magnitudes=False)
+            assert none is None and float_none is None
+            for e, val, mag, fval, fmag, bval, bfval in zip(
+                exprs, values, magnitudes, float_values, float_magnitudes, bare, bare_float
+            ):
+                assert [v.hex() for v in val] == [reference_evaluate(e, pt).hex() for pt in points]
+                assert [v.hex() for v in mag] == [reference_max_term_magnitude(e, pt).hex() for pt in points]
+                assert [v.hex() for v in fval] == [reference_evaluate_float(e, pt).hex() for pt in fpoints]
+                assert [v.hex() for v in fmag] == [
+                    reference_max_term_magnitude_float(e, pt).hex() for pt in fpoints
+                ]
+                assert [v.hex() for v in bval] == [v.hex() for v in val]
+                assert [v.hex() for v in bfval] == [v.hex() for v in fval]
+            # exprs[5] carries exp(k x1) with k >= 300, which overflows at some
+            # points of a batch and not at others.
+            finite = [math.isfinite(v) for v in values[5]]
+            mixed += any(finite) and not all(finite)
+        assert mixed >= 5
+
+    def test_an_empty_batch_and_zero_expressions(self):
+        program = FloatProgram(2, [x(2, 0), Expr.zero(2), exp_of(800 * x(2, 1)), Expr.zero(2)])
+        assert program.at_points([]) == ([[], [], [], []], [[], [], [], []])
+        assert program.at_float_points([], magnitudes=False) == ([[], [], [], []], None)
+        values, magnitudes = program.at_points([[1, 0], [0, 1], [-1, 1]])
+        assert values[1] == values[3] == magnitudes[1] == magnitudes[3] == [0.0, 0.0, 0.0]
+        assert values[1] is not values[3]
+        assert values[2] == [1.0, math.inf, math.inf]
+        with pytest.raises(DimensionError):
+            program.at_points([[1, 0], [1]])
 
     def test_overflowing_exponential_takes_the_sign_of_the_product(self):
         big = exp_of(800 * x(2, 0))
