@@ -364,9 +364,10 @@ def infinity_tension(
 
 # A point whose domain and metric values are all finite and below this in
 # magnitude takes the structural kernel.  Every product the kernel forms has
-# at most seven such factors and every sum few terms, so nothing overflows,
-# and a structurally zero domain-metric entry adds exactly +-0.0 there.  Any
-# other point, a non-finite one included, takes the full kernel.
+# at most seven such factors, so it stays below 2**700, and no sum comes near
+# 2**300 terms, so nothing overflows and a structurally zero domain-metric
+# entry adds exactly +-0.0 there.  Any other point, a non-finite one
+# included, takes the full kernel.
 _STRUCTURAL_BOUND = 2.0 ** 100
 
 
