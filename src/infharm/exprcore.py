@@ -91,6 +91,7 @@ expressions may be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
@@ -952,10 +953,6 @@ class ExprParseError(ValueError):
     """Malformed expression string."""
 
 
-_ALIASES = {"x": 1, "y": 2, "z": 3}
-_FUNCS = ("exp", "cos", "sin")
-
-
 def _tokenize(s: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
     i, n = 0, len(s)
@@ -966,9 +963,9 @@ def _tokenize(s: str) -> list[tuple[str, str]]:
         elif ch in "+-*/^()":
             tokens.append((ch, ch))
             i += 1
-        elif ch.isdigit() or (ch == "." and i + 1 < n and s[i + 1].isdigit()):
+        elif ch.isdecimal() or (ch == "." and i + 1 < n and s[i + 1].isdecimal()):
             j = i
-            while j < n and (s[j].isdigit() or s[j] == "."):
+            while j < n and (s[j].isdecimal() or s[j] == "."):
                 j += 1
             tokens.append(("num", s[i:j]))
             i = j
@@ -984,11 +981,60 @@ def _tokenize(s: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], nvars: int):
-        self.tokens = tokens
-        self.pos = 0
+def _coordinate(text: str, prefix: str, aliases: dict[str, int], nvars: int) -> int:
+    """The index of coordinate ``<prefix><k>`` (k from 1) or of an alias, from 0."""
+    idx = int(text[1:]) if text[0] == prefix and text[1:].isdecimal() else aliases.get(text)
+    if idx is None:
+        raise ExprParseError(f"unknown name {text!r}")
+    if not 1 <= idx <= nvars:
+        raise ExprParseError(f"coordinate {text!r} out of range for {nvars} variables")
+    return idx - 1
+
+
+class _ExprRing:
+    """Expressions over coordinates x1..x<nvars> (aliases x, y, z), with exp, cos and sin."""
+
+    funcs = ("exp", "cos", "sin")
+    add, neg, mul, power = operator.add, operator.neg, operator.mul, operator.pow
+
+    def __init__(self, nvars: int):
         self.nvars = nvars
+
+    def const(self, value: Fraction) -> Expr:
+        return Expr.const(self.nvars, value)
+
+    def name(self, text: str) -> Expr:
+        return Expr.coord(self.nvars, _coordinate(text, "x", {"x": 1, "y": 2, "z": 3}, self.nvars))
+
+    def call(self, func: str, arg: Expr) -> Expr:
+        if func == "exp":
+            return exp_of(arg)
+        j = _coord_image_index(arg)
+        if j is None:
+            raise ExprParseError(f"{func}() accepts a single coordinate")
+        return cos_of(self.nvars, j) if func == "cos" else sin_of(self.nvars, j)
+
+    def div(self, value: Expr, divisor: Expr) -> Expr:
+        const = divisor.constant_value()
+        if const is None or const == 0:
+            raise ExprParseError("division is allowed by nonzero constants only")
+        return value * (Fraction(1) / const)
+
+
+class _Parser:
+    """Recursive descent over sums, products, ``^`` and calls, in the values of a ring.
+
+    A ring has ``funcs``, the names parsed as calls ``f(arg)``, and the methods
+    ``const(Fraction)``, ``name(text)``, ``call(func, arg)``, ``add``, ``neg``,
+    ``mul``, ``power(value, n)`` for an int n >= 0 and ``div(value, divisor)``,
+    which raise ``ExprParseError`` for a value outside the ring.  ``a - b`` is
+    ``add(a, neg(b))``, operands combine left to right, and a unary ``+`` is dropped.
+    """
+
+    def __init__(self, s: str, ring):
+        self.tokens = _tokenize(s)
+        self.pos = 0
+        self.ring = ring
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -1000,34 +1046,33 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> Expr:
+    def parse(self):
+        value = self.parse_expr()
+        self.take("end")
+        return value
+
+    def parse_expr(self):
         value = self.parse_term()
         while self.peek()[0] in "+-":
             op = self.take()[0]
             rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.ring.add(value, rhs if op == "+" else self.ring.neg(rhs))
         return value
 
-    def parse_term(self) -> Expr:
+    def parse_term(self):
         value = self.parse_factor()
         while self.peek()[0] in "*/":
             op = self.take()[0]
             rhs = self.parse_factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                const = rhs.constant_value()
-                if const is None or const == 0:
-                    raise ExprParseError("division is allowed by nonzero constants only")
-                value = value * (Fraction(1) / const)
+            value = self.ring.mul(value, rhs) if op == "*" else self.ring.div(value, rhs)
         return value
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self):
         kind, text = self.peek()
         if kind in "+-":
             self.take()
             inner = self.parse_factor()
-            return inner if kind == "+" else -inner
+            return inner if kind == "+" else self.ring.neg(inner)
         base = self.parse_base()
         if self.peek()[0] == "^":
             self.take()
@@ -1036,14 +1081,14 @@ class _Parser:
             num = self.take("num")[1]
             if "." in num:
                 raise ExprParseError(f"power must be an integer, got {num!r}")
-            return base ** int(num)
+            return self.ring.power(base, int(num))
         return base
 
-    def parse_base(self) -> Expr:
+    def parse_base(self):
         kind, text = self.take()
         if kind == "num":
             try:
-                return Expr.const(self.nvars, Fraction(text))
+                return self.ring.const(Fraction(text))
             except ValueError:
                 raise ExprParseError(f"malformed number {text!r}") from None
         if kind == "(":
@@ -1051,34 +1096,15 @@ class _Parser:
             self.take(")")
             return inner
         if kind == "name":
-            if text in _FUNCS:
-                self.take("(")
-                arg = self.parse_expr()
-                self.take(")")
-                if text == "exp":
-                    return exp_of(arg)
-                j = _coord_image_index(arg)
-                if j is None:
-                    raise ExprParseError(f"{text}() accepts a single coordinate")
-                return cos_of(self.nvars, j) if text == "cos" else sin_of(self.nvars, j)
-            idx = None
-            if text.startswith("x") and text[1:].isdigit():
-                idx = int(text[1:])
-            elif text in _ALIASES:
-                idx = _ALIASES[text]
-            if idx is None:
-                raise ExprParseError(f"unknown name {text!r}")
-            if not 1 <= idx <= self.nvars:
-                raise ExprParseError(
-                    f"coordinate {text!r} out of range for {self.nvars} variables"
-                )
-            return Expr.coord(self.nvars, idx - 1)
+            if text not in self.ring.funcs:
+                return self.ring.name(text)
+            self.take("(")
+            arg = self.parse_expr()
+            self.take(")")
+            return self.ring.call(text, arg)
         raise ExprParseError(f"unexpected token {text!r}")
 
 
 def parse_expr(s: str, nvars: int) -> Expr:
     """Parse an expression string over coordinates x1..x<nvars> (aliases x, y, z)."""
-    parser = _Parser(_tokenize(s), nvars)
-    value = parser.parse_expr()
-    parser.take("end")
-    return value
+    return _Parser(s, _ExprRing(nvars)).parse()

@@ -31,6 +31,8 @@ from .exprcore import (
     Expr,
     ExprParseError,
     UnsupportedExpressionError,
+    _coordinate,
+    _Parser,
     parse_expr,
     parse_rational,
     partial_derivative,
@@ -115,121 +117,44 @@ class ComplexPolyMap:
     components: tuple[CPoly, ...]
 
 
-# complex expression parser: coordinates z1..zm (aliases z, w for z1, z2),
-# imaginary unit "i", operators + - * ^ and / by constants.
+class _GaussianRing:
+    """Gaussian-rational polynomials in z1..z<m> (aliases z, w) for exprcore's parser.
 
+    ``i`` is the imaginary unit, there are no functions, and a divisor must be
+    a nonzero real constant.
+    """
 
-def _ctokenize(s: str):
-    import re
+    funcs = ()
+    add, mul = staticmethod(_cpoly_add), staticmethod(_cpoly_mul)
 
-    tokens = []
-    for match in re.finditer(r"\s*(\d+\.\d+|\d+|[A-Za-z_]\w*|[-+*/^()])", s):
-        text = match.group(1)
-        if text[0].isdigit():
-            tokens.append(("num", text))
-        elif text[0].isalpha() or text[0] == "_":
-            tokens.append(("name", text))
-        else:
-            tokens.append((text, text))
-    consumed = sum(len(t) for _, t in tokens)
-    if len(s.replace(" ", "").replace("\t", "")) != consumed:
-        raise ExprParseError(f"unexpected characters in complex polynomial {s!r}")
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _CParser:
-    def __init__(self, tokens, m: int):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, m: int):
         self.m = m
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def const(self, value: Fraction) -> CPoly:
+        return _cpoly_const(self.m, value, Fraction(0))
 
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExprParseError(f"expected {kind}, got {tok[1]!r}")
-        self.pos += 1
-        return tok
+    def name(self, text: str) -> CPoly:
+        if text == "i":
+            return _cpoly_const(self.m, Fraction(0), Fraction(1))
+        return _cpoly_var(self.m, _coordinate(text, "z", {"z": 1, "w": 2}, self.m))
 
-    def parse_expr(self) -> CPoly:
-        value = self.parse_term()
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            rhs = self.parse_term()
-            if op == "-":
-                rhs = {k: (-r, -i) for k, (r, i) in rhs.items()}
-            value = _cpoly_add(value, rhs)
-        return value
+    def neg(self, value: CPoly) -> CPoly:
+        return {k: (-r, -i) for k, (r, i) in value.items()}
 
-    def parse_term(self) -> CPoly:
-        value = self.parse_factor()
-        while self.peek()[0] in "*/":
-            op = self.take()[0]
-            rhs = self.parse_factor()
-            if op == "*":
-                value = _cpoly_mul(value, rhs)
-            else:
-                if set(rhs) - {(0,) * self.m}:
-                    raise ExprParseError("division is allowed by constants only")
-                re, im = rhs.get((0,) * self.m, (Fraction(0), Fraction(0)))
-                if im != 0 or re == 0:
-                    raise ExprParseError("division is allowed by nonzero real constants only")
-                value = _cpoly_mul(value, _cpoly_const(self.m, Fraction(1) / re, Fraction(0)))
-        return value
+    def power(self, value: CPoly, n: int) -> CPoly:
+        return _cpoly_pow(value, self.m, n)
 
-    def parse_factor(self) -> CPoly:
-        kind, _ = self.peek()
-        if kind in "+-":
-            self.take()
-            inner = self.parse_factor()
-            if kind == "-":
-                inner = {k: (-r, -i) for k, (r, i) in inner.items()}
-            return inner
-        base = self.parse_base()
-        if self.peek()[0] == "^":
-            self.take()
-            num = self.take("num")[1]
-            if "." in num:
-                raise ExprParseError(f"power must be an integer, got {num!r}")
-            return _cpoly_pow(base, self.m, int(num))
-        return base
-
-    def parse_base(self) -> CPoly:
-        kind, text = self.take()
-        if kind == "num":
-            return _cpoly_const(self.m, Fraction(text), Fraction(0))
-        if kind == "(":
-            inner = self.parse_expr()
-            self.take(")")
-            return inner
-        if kind == "name":
-            if text == "i":
-                return _cpoly_const(self.m, Fraction(0), Fraction(1))
-            idx = None
-            if text.startswith("z") and text[1:].isdigit():
-                idx = int(text[1:])
-            elif text == "z":
-                idx = 1
-            elif text == "w":
-                idx = 2
-            if idx is None:
-                raise ExprParseError(f"unknown name {text!r} in complex polynomial")
-            if not 1 <= idx <= self.m:
-                raise ExprParseError(
-                    f"variable {text!r} out of range for {self.m} complex variables"
-                )
-            return _cpoly_var(self.m, idx - 1)
-        raise ExprParseError(f"unexpected token {text!r}")
+    def div(self, value: CPoly, divisor: CPoly) -> CPoly:
+        one = (0,) * self.m
+        re, im = divisor.get(one, (Fraction(0), Fraction(0)))
+        if set(divisor) - {one} or im != 0 or re == 0:
+            raise ExprParseError("division is allowed by nonzero real constants only")
+        return _cpoly_mul(value, _cpoly_const(self.m, Fraction(1) / re, Fraction(0)))
 
 
 def parse_cpoly(s: str, m: int) -> CPoly:
-    parser = _CParser(_ctokenize(s), m)
-    value = parser.parse_expr()
-    parser.take("end")
-    return value
+    """Parse a polynomial string over z1..z<m> with Gaussian-rational coefficients."""
+    return _Parser(s, _GaussianRing(m)).parse()
 
 
 def cpoly_to_string(p: CPoly, m: int) -> str:

@@ -1,12 +1,14 @@
-"""Shared generators for seeded random-expression campaigns, and reference float evaluators."""
+"""Shared generators for seeded random-expression campaigns, and reference evaluators and parsers."""
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from random import Random
 
-from infharm.exprcore import Expr, cos_of, exp_of, sin_of
+from infharm.exprcore import Expr, ExprParseError, cos_of, exp_of, sin_of
+from infharm.mapspec import _cpoly_add, _cpoly_const, _cpoly_mul, _cpoly_pow, _cpoly_var
 
 
 def rand_coeff(rng: Random, num: int = 4, den: int = 4) -> Fraction:
@@ -50,6 +52,18 @@ def random_expr(
                 t = t * (cos_of(nvars, j) if rng.random() < 0.5 else sin_of(nvars, j))
         total = total + t
     return total
+
+
+def random_cpoly(rng: Random, m: int) -> dict:
+    """A nonzero Gaussian-rational polynomial in m variables: 1-3 terms of degree <= 3."""
+    poly = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * m
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(m)] += 1
+        poly[tuple(mono)] = (rand_coeff(rng), rand_coeff(rng))
+    poly = {k: v for k, v in poly.items() if v != (Fraction(0), Fraction(0))}
+    return poly or {(0,) * m: (Fraction(1), Fraction(0))}
 
 
 def random_point(rng: Random, nvars: int, den: int = 8) -> list[Fraction]:
@@ -240,3 +254,120 @@ def reference_to_string(e: Expr) -> str:
         else:
             pieces.append(("+ " if c > 0 else "- ") + text)
     return " ".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# Complex-polynomial parsing as it was before ``mapspec.parse_cpoly`` went
+# through ``exprcore``'s parser, kept as its reference: its own tokenizer and
+# recursive descent, with the operand order of every ``_cpoly_*`` call.
+
+
+def _reference_ctokenize(s: str):
+    tokens = []
+    for match in re.finditer(r"\s*(\d+\.\d+|\d+|[A-Za-z_]\w*|[-+*/^()])", s):
+        text = match.group(1)
+        if text[0].isdigit():
+            tokens.append(("num", text))
+        elif text[0].isalpha() or text[0] == "_":
+            tokens.append(("name", text))
+        else:
+            tokens.append((text, text))
+    consumed = sum(len(t) for _, t in tokens)
+    if len(s.replace(" ", "").replace("\t", "")) != consumed:
+        raise ExprParseError(f"unexpected characters in complex polynomial {s!r}")
+    tokens.append(("end", ""))
+    return tokens
+
+
+class _ReferenceCParser:
+    def __init__(self, tokens, m: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.m = m
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise ExprParseError(f"expected {kind}, got {tok[1]!r}")
+        self.pos += 1
+        return tok
+
+    def parse_expr(self):
+        value = self.parse_term()
+        while self.peek()[0] in "+-":
+            op = self.take()[0]
+            rhs = self.parse_term()
+            if op == "-":
+                rhs = {k: (-r, -i) for k, (r, i) in rhs.items()}
+            value = _cpoly_add(value, rhs)
+        return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while self.peek()[0] in "*/":
+            op = self.take()[0]
+            rhs = self.parse_factor()
+            if op == "*":
+                value = _cpoly_mul(value, rhs)
+            else:
+                if set(rhs) - {(0,) * self.m}:
+                    raise ExprParseError("division is allowed by constants only")
+                re_, im = rhs.get((0,) * self.m, (Fraction(0), Fraction(0)))
+                if im != 0 or re_ == 0:
+                    raise ExprParseError("division is allowed by nonzero real constants only")
+                value = _cpoly_mul(value, _cpoly_const(self.m, Fraction(1) / re_, Fraction(0)))
+        return value
+
+    def parse_factor(self):
+        kind, _ = self.peek()
+        if kind in "+-":
+            self.take()
+            inner = self.parse_factor()
+            if kind == "-":
+                inner = {k: (-r, -i) for k, (r, i) in inner.items()}
+            return inner
+        base = self.parse_base()
+        if self.peek()[0] == "^":
+            self.take()
+            num = self.take("num")[1]
+            if "." in num:
+                raise ExprParseError(f"power must be an integer, got {num!r}")
+            return _cpoly_pow(base, self.m, int(num))
+        return base
+
+    def parse_base(self):
+        kind, text = self.take()
+        if kind == "num":
+            return _cpoly_const(self.m, Fraction(text), Fraction(0))
+        if kind == "(":
+            inner = self.parse_expr()
+            self.take(")")
+            return inner
+        if kind == "name":
+            if text == "i":
+                return _cpoly_const(self.m, Fraction(0), Fraction(1))
+            idx = None
+            if text.startswith("z") and text[1:].isdigit():
+                idx = int(text[1:])
+            elif text == "z":
+                idx = 1
+            elif text == "w":
+                idx = 2
+            if idx is None:
+                raise ExprParseError(f"unknown name {text!r} in complex polynomial")
+            if not 1 <= idx <= self.m:
+                raise ExprParseError(
+                    f"variable {text!r} out of range for {self.m} complex variables"
+                )
+            return _cpoly_var(self.m, idx - 1)
+        raise ExprParseError(f"unexpected token {text!r}")
+
+
+def reference_parse_cpoly(s: str, m: int) -> dict:
+    parser = _ReferenceCParser(_reference_ctokenize(s), m)
+    value = parser.parse_expr()
+    parser.take("end")
+    return value

@@ -79,6 +79,10 @@ class TestCheck:
             ({"kind": "custom", "m": True, "components": ["x1"]}, "error: m: "),
             ({"kind": "holomorphic", "m": True, "complex": ["z"]}, "error: m: "),
             ({"kind": "custom", "m": 1, "components": ["exp(exp(x1))"]}, "components[0]: exponentials"),
+            # A superscript digit passes str.isdigit() but not int().
+            ({"kind": "custom", "m": 1, "components": ["x1^\u00b2"]}, "components[0]"),
+            ({"kind": "custom", "m": 1, "components": ["x\u00b2"]}, "components[0]"),
+            ({"kind": "holomorphic", "m": 2, "complex": ["z2\u00b2"]}, "complex[0]"),
         ],
     )
     def test_malformed_component_exit_two(self, tmp_path, capsys, doc, path):
