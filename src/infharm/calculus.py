@@ -210,25 +210,38 @@ def energy_density(domain: ModelSpace, codomain: ModelSpace, phi) -> ClearedExpr
     """|dphi|^2 = g^{ij} phi^a_i phi^b_j (h_ab o phi), cleared by the codomain scale."""
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
-    m, n = domain.dim, codomain.dim
+    return _energy(domain, codomain, comps)[0]
+
+
+def _energy(
+    domain: ModelSpace, codomain: ModelSpace, comps: Sequence[Expr]
+) -> tuple[ClearedExpr, list[list[Expr]]]:
+    """The cleared energy density and the Jacobian it contracts.
+
+    The metric is composed with the map before anything else, so a map that
+    leaves the decidable class raises before any contraction is built.
+    """
+    composed = {
+        (a, b): substitute(hab, comps)
+        for a, row in enumerate(codomain.g_lower)
+        for b, hab in enumerate(row)
+        if hab
+    }
+    clearing = substitute(codomain.lower_scale, comps)
+    m = domain.dim
     jac = _jacobian(comps, m)
     num = Expr.zero(m)
-    for a in range(n):
-        for b in range(n):
-            hab = codomain.g_lower[a][b]
-            if hab:
-                num = num + _contract(domain, jac[a], jac[b]) * substitute(hab, comps)
-    clearing = substitute(codomain.lower_scale, comps)
-    return ClearedExpr(num=num, clearing=clearing)
+    for (a, b), hab_phi in composed.items():
+        num = num + _contract(domain, jac[a], jac[b]) * hab_phi
+    return ClearedExpr(num=num, clearing=clearing), jac
 
 
 def _tension_components(
     domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...]
 ) -> tuple[tuple[Expr, ...], Expr, ClearedExpr]:
     """Cleared tension components, their clearing, and the cleared energy."""
-    energy = energy_density(domain, codomain, comps)
+    energy, jac = _energy(domain, codomain, comps)
     m = domain.dim
-    jac = _jacobian(comps, m)
     dnum = [partial_derivative(energy.num, j) for j in range(m)]
     if energy.is_plain:
         grad_w = dnum
@@ -363,30 +376,36 @@ def infinity_tension(
 
 
 # A point whose domain and metric values are all finite and below this in
-# magnitude takes the structural kernel.  Every product the kernel forms has
-# at most seven such factors, so it stays below 2**700, and no sum comes near
-# 2**300 terms, so nothing overflows and a structurally zero domain-metric
-# entry adds exactly +-0.0 there.  Any other point, a non-finite one
-# included, takes the full kernel.
+# magnitude takes the structural body of the tension kernel.  Every product
+# the kernel forms has at most seven such factors, so it stays below 2**700,
+# and no sum comes near 2**300 terms, so nothing overflows and every term the
+# structural body drops adds exactly +-0.0 there.  Any other point, a
+# non-finite one included, takes the full body.
 _STRUCTURAL_BOUND = 2.0 ** 100
 
 
 def _domain_metric(space: ModelSpace) -> tuple:
-    """(dg^ij/dx_k, the entries (i, j) that are not structurally zero), once per space."""
+    """(dg^ij/dx_k, the entries (i, j) and the slopes (i, j, k) not structurally zero), once per space.
+
+    A slope (i, j, k) is an entry whose dg^ij/dx_k is not the zero ``Expr``.
+    """
     cache = space._numeric_cache
     if "domain" not in cache:
         m, gu = space.dim, space.g_upper
         dgu = [[[partial_derivative(gu[i][j], k) for k in range(m)] for j in range(m)] for i in range(m)]
         entries = tuple((i, j) for i in range(m) for j in range(m) if gu[i][j] or any(dgu[i][j]))
-        cache["domain"] = (dgu, entries)
+        slopes = tuple((i, j, k) for i, j in entries for k in range(m) if dgu[i][j][k])
+        cache["domain"] = (dgu, entries, slopes)
     return cache["domain"]
 
 
 def _codomain_metric(space: ModelSpace) -> tuple:
-    """(dh_ab/dy_g, d(scale)/dy_g, the nonzero metric pairs, the metric program), once per space.
+    """(dh_ab/dy_g, d(scale)/dy_g, the nonzero pairs, their chains, the metric program), once per space.
 
-    The program evaluates the scale, its derivatives, and then per pair
-    h_ab and its derivatives, in the order ``NumericTension`` reads them.
+    The chain of a pair lists the g at which dh_ab/dy_g or d(scale)/dy_g is
+    not the zero ``Expr``.  The program evaluates the scale, its
+    derivatives, and then per pair h_ab and its derivatives, in the order
+    ``NumericTension`` reads them.
     """
     cache = space._numeric_cache
     if "codomain" not in cache:
@@ -394,12 +413,13 @@ def _codomain_metric(space: ModelSpace) -> tuple:
         dh = [[[partial_derivative(gl[a][b], g) for g in range(n)] for b in range(n)] for a in range(n)]
         dscale = [partial_derivative(space.lower_scale, g) for g in range(n)]
         pairs = tuple((a, b) for a in range(n) for b in range(n) if gl[a][b])
+        chains = tuple(tuple(g for g in range(n) if dh[a][b][g] or dscale[g]) for a, b in pairs)
         program = FloatProgram(n, [
             space.lower_scale,
             *dscale,
             *(e for a, b in pairs for e in (gl[a][b], *dh[a][b])),
         ])
-        cache["codomain"] = (dh, dscale, pairs, program)
+        cache["codomain"] = (dh, dscale, pairs, chains, program)
     return cache["codomain"]
 
 
@@ -412,27 +432,39 @@ class NumericTension:
     at every rational point, then the codomain metric (h = g_ab / scale and
     its derivatives dh/dy_g) at every image phi(point) in floats.  The
     metric derivatives and the codomain's compiled metric depend only on the
-    space and are built once per space.  ``at(k)`` assembles the tension at
-    the k-th point.  This is an independent route to the same quantity as the cleared
-    symbolic components (up to the positive clearing factor), used for the
-    exact/numeric coherence checks and as the fallback when composition
-    leaves the symbolic class.
+    space and are built once per space.  The tension kernel of the two
+    spaces then assembles the tension at every point in one call, and
+    ``at(k)`` returns the k-th result.  This is an independent route to the
+    same quantity as the cleared symbolic components (up to the positive
+    clearing factor), used for the exact/numeric coherence checks and as
+    the fallback when composition leaves the symbolic class.
 
-    The assembly is a straight-line kernel generated by ``_tension_kernel``
-    for the shape of the point: the two dimensions, the codomain metric pairs
-    that are not structurally zero, which of those pairs are live at the
-    point (a pair whose value and derivatives are all 0.0, say where
-    ``e^{-2z}`` underflows, adds nothing), and the domain-metric entries it
-    sums over.  The structural kernel sums only the entries (i, j) whose g^ij
-    or some dg^ij/dx_k is not structurally zero.  It runs at a point where
-    every domain and metric value is finite and below ``_STRUCTURAL_BOUND``
-    in magnitude; there a dropped entry would add only +-0.0 to running sums
-    that start at +0.0, so it changes no bit.  Any other point takes the
-    full kernel, over every (i, j).  The cache key is the shape alone
-    because the shape alone decides the code: every map of one shape shares
-    one compiled kernel, and a run compiles a handful.  ``exec`` is safe here
-    because the source is built from integer indices only; no expression
-    text or other input reaches it.
+    The kernel, generated by ``_tension_kernel``, has two bodies and takes
+    one of them at each point.  The structural body runs where the point's
+    ``math.hypot`` over every domain and metric value, structurally zero
+    ones included, is below ``_STRUCTURAL_BOUND``: every value there is
+    finite and nothing overflows.  It leaves out each term that is
+    structurally zero for the two spaces:
+
+    - the domain-metric entries (i, j) whose g^ij and every dg^ij/dx_k are
+      the zero ``Expr``;
+    - the term dg^ij/dx_k J_ai J_bj of an entry where dg^ij/dx_k is the
+      zero ``Expr``;
+    - the chain-rule summand dh_ab/dy_g J_gk where dh_ab/dy_g and
+      d(scale)/dy_g are both the zero ``Expr`` (so the metric derivative
+      evaluates to +-0.0), and the chain term of a pair with no summand left.
+
+    Each left-out term is a finite value times +-0.0 there, so it would add
+    only +-0.0 to a running sum that starts at +0.0 and so is never -0.0,
+    and it changes no bit; that holds for ``sum()`` too, whose compensated
+    rounding from Python 3.12 on carries +-0.0 through unchanged.  For the
+    same reason the structural body does not test the pairs: a pair whose
+    value and derivatives are all 0.0, say where ``e^{-2z}`` underflows,
+    adds only +-0.0.  The full body runs at every other point, a huge or
+    non-finite one included.  It sums every term over every (i, j) and
+    skips a pair only where its value and derivatives are all 0.0, tested
+    inline.  ``exec`` is safe here because the source is built from integer
+    indices only; no expression text or other input reaches it.
 
     The kernel returns the tension values and a scale for the tolerance.
     Per k, it sums the gradient of |dphi|^2 into w_k and the |summand|s of
@@ -453,8 +485,8 @@ class NumericTension:
         self.codomain = codomain
         self.comps = comps
         self.m, self.n = m, n
-        self.dgu, self._entries = _domain_metric(domain)
-        self.dh, self.dscale, self._pairs, codomain_side = _codomain_metric(codomain)
+        self.dgu, entries, slopes = _domain_metric(domain)
+        self.dh, self.dscale, pairs, chains, codomain_side = _codomain_metric(codomain)
         self.jac = _jacobian(comps, m)
         self.hess = [
             [[partial_derivative(self.jac[a][i], k) for k in range(m)] for i in range(m)]
@@ -473,42 +505,35 @@ class NumericTension:
         d, dd = cod[0], cod[1:n + 1]
         d2 = list(map(mul, d, d))
         h_cols = []
-        live_cols = []
         for pos in range(n + 1, len(cod), n + 1):
             gv = cod[pos]
-            pair = [list(map(truediv, gv, d)), *(
+            h_cols.append(list(map(truediv, gv, d)))
+            h_cols += (
                 list(map(truediv, map(sub, map(mul, dgv, d), map(mul, gv, ddv)), d2))
                 for dgv, ddv in zip(cod[pos + 1:pos + 1 + n], dd)
-            )]
-            h_cols += pair
-            # A pair whose value and derivatives are all 0.0 adds nothing.
-            live_cols.append(list(map(any, zip(*pair))))
-        self._domain_rows = list(zip(*domain_cols))
-        self._h_rows = list(zip(*h_cols))
-        self._live = list(zip(*live_cols))
+            )
+        kernel = _tension_kernel(m, n, pairs, entries, slopes, chains)
+        self._results = kernel(zip(*domain_cols), zip(*h_cols))
 
     def at(self, k: int) -> tuple[list[float], float]:
         """Tension component values at the k-th point, plus a size scale."""
-        domain_values, h_values = self._domain_rows[k], self._h_rows[k]
-        # hypot is inf or nan when any value is, and at least every |value|.
-        size = math.hypot(*domain_values, *h_values)
-        entries = self._entries if size < _STRUCTURAL_BOUND else None
-        kernel = _tension_kernel(self.m, self.n, self._pairs, self._live[k], entries)
-        return kernel(domain_values, h_values)
+        return self._results[k]
 
 
 @functools.cache
-def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple, entries: tuple | None):
-    """The tension assembly for one shape, compiled as a straight-line function.
+def _tension_kernel(m: int, n: int, pairs: tuple, entries: tuple, slopes: tuple, chains: tuple):
+    """The tension assembly for one pair of spaces, compiled as one function over every point.
 
-    ``kernel(domain_values, h_values)`` unpacks the domain side of
+    ``kernel(domain_rows, h_rows)`` takes, per point, the domain side of
     ``NumericTension`` (g^ij, dg^ij/dx_k, J_ai, dJ_ai/dx_k, phi) and, per
-    metric pair, h and dh/dy_g.  Per k it forms the chain factors
-    ``sum((dh_g * J_gk, ...))`` of the live pairs and sums the gradient of
-    |dphi|^2 over (i, j, live pair) into w_k, and the |summand|s into u_k;
-    then it contracts g^ij J_ai w_j and keeps the largest |g^ij J_ai| u_j as
-    the scale.  (i, j) runs over ``entries`` in their order, or over every
-    entry when ``entries`` is None.
+    metric pair, h and dh/dy_g, and returns the list of (values, scale) per
+    point.  At a point whose ``math.hypot`` size is below
+    ``_STRUCTURAL_BOUND`` it runs the structural body, over the domain-metric
+    ``entries``, the ``slopes`` (i, j, k) and each pair's ``chains``;
+    anywhere else it runs the full body, over every entry, slope and chain
+    term, with each pair's liveness tested inline.  ``_assembly`` writes
+    both.  The arguments are facts of the two spaces alone, so every map
+    between them shares one compiled kernel.
     """
     rm, rn = range(m), range(n)
     names = [
@@ -519,46 +544,76 @@ def _tension_kernel(m: int, n: int, pairs: tuple, live: tuple, entries: tuple | 
         *("_" for _ in rn),
     ]
     h_names = [name for p in range(len(pairs)) for name in (f"q{p}", *(f"e{p}_{g}" for g in rn))]
+    every = tuple((i, j) for i in rm for j in rm)
+    structural = _assembly(m, n, pairs, entries, set(slopes), chains, guarded=False)
+    full = _assembly(
+        m, n, pairs, every, {(i, j, k) for i, j in every for k in rm}, (tuple(rn),) * len(pairs), guarded=True
+    )
     lines = [
-        "def kernel(domain_values, h_values):",
-        f"    [{', '.join(names)}] = domain_values",
-        f"    [{', '.join(h_names)}] = h_values",
+        "def kernel(domain_rows, h_rows):",
+        "    out = []",
+        "    for domain_values, h_values in zip(domain_rows, h_rows):",
+        f"        [{', '.join(names)}] = domain_values",
+        f"        [{', '.join(h_names)}] = h_values",
+        # hypot is inf or nan when any value is, and at least every |value|.
+        "        if hypot(*domain_values, *h_values) < BOUND:",
+        *(f"            {line}" for line in structural),
+        "        else:",
+        *(f"            {line}" for line in full),
+        f"        out.append(([{', '.join(f'v{a}' for a in rn)}], scale))",
+        "    return out",
     ]
-    live_pairs = [(p, a, b) for p, (a, b) in enumerate(pairs) if live[p]]
-    if entries is None:
-        entries = [(i, j) for i in rm for j in rm]
-    for k in rm:
-        for p, _, _ in live_pairs:
-            products = "".join(f"e{p}_{g} * j{g}_{k}, " for g in rn)
-            lines.append(f"    c{p} = sum(({products}))")
-        lines += ["    t = 0.0", "    u = 0.0"]
-        for i, j in entries:
-            for p, a, b in live_pairs:
-                lines += [
-                    f"    x = (d{i}_{j}_{k} * j{a}_{i} * j{b}_{j}"
-                    f" + g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}",
-                    "    t += x",
-                    "    u += abs(x)",
-                    f"    x = g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}",
-                    "    t += x",
-                    "    u += abs(x)",
-                ]
-        lines += [f"    w{k} = t", f"    u{k} = u"]
-    lines.append("    scale = 0.0")
-    for a in rn:
-        lines.append("    t = 0.0")
-        for i, j in entries:
-            lines += [
-                f"    s = g{i}_{j} * j{a}_{i}",
-                f"    y = abs(s) * u{j}",
-                "    if y > scale: scale = y",
-                f"    t += s * w{j}",
-            ]
-        lines.append(f"    v{a} = t")
-    lines.append(f"    return [{', '.join(f'v{a}' for a in rn)}], scale")
-    namespace: dict = {}
+    namespace: dict = {"hypot": math.hypot, "BOUND": _STRUCTURAL_BOUND}
     exec(compile("\n".join(lines), f"<tension kernel m={m} n={n}>", "exec"), namespace)
     return namespace["kernel"]
+
+
+def _assembly(
+    m: int, n: int, pairs: tuple, entries: tuple, slopes: set, chains: tuple, guarded: bool
+) -> list[str]:
+    """One body of the tension kernel: the lines that assemble the values and the scale at a point.
+
+    Per k it forms the chain factors ``c_p = sum((dh_g * J_gk, ...))`` over
+    the g in ``chains[p]``, sums the gradient of |dphi|^2 over (i, j, pair)
+    into w_k and the |summand|s into u_k, with the slope term of (i, j, k)
+    only if it is in ``slopes`` and the chain summand only where the chain
+    is not empty; then it contracts g^ij J_ai w_j and keeps the largest
+    |g^ij J_ai| u_j as the scale, with (i, j) over ``entries`` in their
+    order.  When ``guarded``, a pair whose value and derivatives are all 0.0
+    adds nothing: at a huge or non-finite point, its 0.0 times an infinite
+    factor would add nan.
+    """
+    rm, rn = range(m), range(n)
+    lines = []
+    if guarded:
+        lines += [f"l{p} = q{p} or {' or '.join(f'e{p}_{g}' for g in rn)}" for p in range(len(pairs))]
+    for k in rm:
+        for p, chain in enumerate(chains):
+            if chain:
+                products = "".join(f"e{p}_{g} * j{g}_{k}, " for g in chain)
+                lines.append(f"c{p} = sum(({products}))")
+        lines += ["t = 0.0", "u = 0.0"]
+        for i, j in entries:
+            for p, (a, b) in enumerate(pairs):
+                slope = f"d{i}_{j}_{k} * j{a}_{i} * j{b}_{j} + " if (i, j, k) in slopes else ""
+                summands = [f"({slope}g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}"]
+                if chains[p]:
+                    summands.append(f"g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}")
+                block = [line for x in summands for line in (f"x = {x}", "t += x", "u += abs(x)")]
+                lines += [f"if l{p}:", *(f"    {line}" for line in block)] if guarded else block
+        lines += [f"w{k} = t", f"u{k} = u"]
+    lines.append("scale = 0.0")
+    for a in rn:
+        lines.append("t = 0.0")
+        for i, j in entries:
+            lines += [
+                f"s = g{i}_{j} * j{a}_{i}",
+                f"y = abs(s) * u{j}",
+                "if y > scale: scale = y",
+                f"t += s * w{j}",
+            ]
+        lines.append(f"v{a} = t")
+    return lines
 
 
 def independent_numeric_check(

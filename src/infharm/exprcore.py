@@ -981,9 +981,20 @@ def _tokenize(s: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _integer(digits: str, what: str) -> int:
+    """``int(digits)``, with ``int``'s limit on the number of digits raised as a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ExprParseError(f"{what} has {len(digits)} digits, too many to read") from None
+
+
 def _coordinate(text: str, prefix: str, aliases: dict[str, int], nvars: int) -> int:
     """The index of coordinate ``<prefix><k>`` (k from 1) or of an alias, from 0."""
-    idx = int(text[1:]) if text[0] == prefix and text[1:].isdecimal() else aliases.get(text)
+    if text[0] == prefix and text[1:].isdecimal():
+        idx = _integer(text[1:], "a coordinate index")
+    else:
+        idx = aliases.get(text)
     if idx is None:
         raise ExprParseError(f"unknown name {text!r}")
     if not 1 <= idx <= nvars:
@@ -1081,7 +1092,7 @@ class _Parser:
             num = self.take("num")[1]
             if "." in num:
                 raise ExprParseError(f"power must be an integer, got {num!r}")
-            return self.ring.power(base, int(num))
+            return self.ring.power(base, _integer(num, "a power"))
         return base
 
     def parse_base(self):

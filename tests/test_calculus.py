@@ -510,39 +510,113 @@ class TestCompiledNumericPaths:
                 nonfinite += not all(math.isfinite(v) for v in expected[0])
         assert nonfinite >= 3
 
-    def test_underflowing_metric_entry_switches_the_kernel(self):
+    # One map of each slot shape of the fallback benchmark's window: maps into
+    # Sol that leave the decidable class, on each of the four domains.
+    FALLBACK_SHAPES = (
+        ("semi-euclid:2:-+", ["-(x1+x2)", "-(x1+x2)/4", "exp(-(x1+x2)/4)"]),
+        ("euclid:2", ["2", "1/4", "-cos(x2)"]),
+        ("semi-euclid:3:-++", ["x1-3/5*x3-4/5*x2", "-(x1-3/5*x3-4/5*x2)/3", "exp(2*(x1-3/5*x3-4/5*x2))"]),
+        ("euclid:3", ["-1/2", "1/3", "-2/3*sin(x3)"]),
+        ("semi-euclid:2:-+", ["-(x1-x2)-2*(x1-x2)^2", "exp(3/2*(x1-x2))", "exp(-(x1-x2)+3*(x1-x2)^2)"]),
+        ("semi-euclid:2:-+", ["1/2", "1", "-1/4*exp(-x2)"]),
+        (
+            "semi-euclid:3:-++",
+            [
+                "-1/3*(x1+3/5*x3-4/5*x2)+1/2*(x1+3/5*x3-4/5*x2)^2",
+                "2/3*(x1+3/5*x3-4/5*x2)+1/3*(x1+3/5*x3-4/5*x2)^2",
+                "exp(2/3*(x1+3/5*x3-4/5*x2))",
+            ],
+        ),
+        ("semi-euclid:3:-++", ["-3", "2", "-1/3*cos(x1)"]),
+        ("semi-euclid:2:-+", ["-3/4*(x1-x2)-3*(x1-x2)^2", "-2*(x1-x2)+3/4*(x1-x2)^2", "exp((x1-x2)/2)"]),
+        ("euclid:2", ["1/4", "1", "3*sin(x1)"]),
+        (
+            "semi-euclid:3:-++",
+            ["2/3*(x1+3/5*x2-4/5*x3)", "exp(x1+3/5*x2-4/5*x3)", "exp(-(x1+3/5*x2-4/5*x3)/4)"],
+        ),
+        ("euclid:3", ["3/4", "1/3", "-3*exp(-x2/2)"]),
+        (
+            "semi-euclid:3:-++",
+            [
+                "1/3*(x1+3/5*x2-4/5*x3)-2/3*(x1+3/5*x2-4/5*x3)^2",
+                "exp(-3/2*(x1+3/5*x2-4/5*x3))",
+                "exp(x1+3/5*x2-4/5*x3)",
+            ],
+        ),
+        ("semi-euclid:2:-+", ["1/2", "3/4", "-1/3*cos(x1)"]),
+        ("semi-euclid:3:-++", ["-1", "3/4", "1/2*sin(x3)"]),
+        ("semi-euclid:3:-++", ["(x1+3/5*x2+4/5*x3)^2", "0", "exp(x1+3/5*x2+4/5*x3)"]),
+    )
+
+    def test_every_fallback_shape_matches_the_per_expression_assembly(self):
+        for seed, (label, texts) in enumerate(self.FALLBACK_SHAPES):
+            dom = build_space(label)
+            comps = tuple(parse_expr(text, dom.dim) for text in texts)
+            points = sample_points(dom.dim, 64, seed=seed)
+            nt = NumericTension(dom, SOL, comps, points)
+            for k, pt in enumerate(points):
+                values, scale = nt.at(k)
+                expected = reference_at(nt, pt)
+                assert (repr(values), repr(scale)) == tuple(map(repr, expected)), (label, texts, pt)
+
+    @staticmethod
+    def spy_on_bodies(monkeypatch) -> list[str]:
+        """The body, "structural" or "full", that each kernel compiled from now on takes at each point.
+
+        The spy compiles each kernel afresh and gives it a bound that records
+        the outcome of the kernel's own size test.
+        """
+        bodies = []
+        compile_kernel = calculus._tension_kernel.__wrapped__
+
+        class RecordingBound:
+            def __gt__(self, size):
+                structural = size < calculus._STRUCTURAL_BOUND
+                bodies.append("structural" if structural else "full")
+                return structural
+
+        def spy(*spaces):
+            kernel = compile_kernel(*spaces)
+            kernel.__globals__["BOUND"] = RecordingBound()
+            return kernel
+
+        monkeypatch.setattr(calculus, "_tension_kernel", spy)
+        return bodies
+
+    def test_underflowing_metric_entry_switches_the_kernel(self, monkeypatch):
         # e^{2z} = e^{800 x1} underflows to 0.0 for x1 below about -0.93 and
-        # overflows above about 0.89, and e^{-2z} the other way round, so the
-        # sample points see more than one set of live metric pairs.
+        # overflows above about 0.89, and e^{-2z} the other way round, so some
+        # sample points see a dead metric pair, and those take the full body.
+        bodies = self.spy_on_bodies(monkeypatch)
         x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
         points = sample_points(2, 64, seed=0)
         nt = NumericTension(E2, SOL, (x1, x2, 400 * x1), points)
-        _tension_kernel.cache_clear()
         for k, pt in enumerate(points):
             values, scale = nt.at(k)
             assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
-        assert _tension_kernel.cache_info().currsize >= 2
+        assert len(bodies) == len(points)
+        # The smaller of e^{2z} and e^{-2z} is e^{-800 |x1|}.
+        dead = [k for k, pt in enumerate(points) if math.exp(-800 * abs(pt[0])) == 0.0]
+        assert dead
+        assert all(bodies[k] == "full" for k in dead)
+        assert "structural" in bodies
 
     def test_maps_of_one_shape_share_one_kernel(self):
+        # The kernel depends on the pair of spaces alone, not on the map or the points.
         x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
-        points = [(Fraction(1, 2), Fraction(1, 3))]
-        first = NumericTension(E2, SOL, (x1, x2, cos_of(2, 0)), points)
-        second = NumericTension(E2, SOL, (x2 * x1, x1, exp_of(x2) - x1), points)
         _tension_kernel.cache_clear()
-        first.at(0)
-        second.at(0)
+        first_points, second_points = [(Fraction(1, 2), Fraction(1, 3))], sample_points(2, 5, seed=1)
+        first = NumericTension(E2, SOL, (x1, x2, cos_of(2, 0)), first_points)
+        second = NumericTension(E2, SOL, (x2 * x1, x1, exp_of(x2) - x1), second_points)
         info = _tension_kernel.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        for nt, points in ((first, first_points), (second, second_points)):
+            for k, pt in enumerate(points):
+                values, scale = nt.at(k)
+                assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
 
     def test_a_point_with_a_huge_or_nonfinite_value_takes_the_full_kernel(self, monkeypatch):
-        entries_seen = []
-        kernel = calculus._tension_kernel
-
-        def spy(m, n, pairs, live, entries):
-            entries_seen.append(entries)
-            return kernel(m, n, pairs, live, entries)
-
-        monkeypatch.setattr(calculus, "_tension_kernel", spy)
+        bodies = self.spy_on_bodies(monkeypatch)
         x1 = Expr.coord(2, 0)
         # At x1 = 1 the Hessian of exp(700 x1) overflows; at x1 = 1/2 every value
         # is finite but exp(350) is above the structural bound; at x1 = -1 every
@@ -552,7 +626,7 @@ class TestCompiledNumericPaths:
         for k, pt in enumerate(points):
             values, scale = nt.at(k)
             assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
-        assert entries_seen == [None, None, ((0, 0), (1, 1))]
+        assert bodies == ["full", "full", "structural"]
 
     def test_the_report_assembles_each_sample_point_once(self, monkeypatch):
         seen = []

@@ -83,6 +83,10 @@ class TestCheck:
             ({"kind": "custom", "m": 1, "components": ["x1^\u00b2"]}, "components[0]"),
             ({"kind": "custom", "m": 1, "components": ["x\u00b2"]}, "components[0]"),
             ({"kind": "holomorphic", "m": 2, "complex": ["z2\u00b2"]}, "complex[0]"),
+            # Past 4,300 digits int() refuses to read a string at all.
+            ({"kind": "custom", "m": 1, "components": ["x1^" + "0" * 4400]}, "components[0]"),
+            ({"kind": "custom", "m": 1, "components": ["x" + "1" * 4400]}, "components[0]"),
+            ({"kind": "holomorphic", "m": 1, "complex": ["z" + "1" * 4400]}, "complex[0]"),
         ],
     )
     def test_malformed_component_exit_two(self, tmp_path, capsys, doc, path):
