@@ -46,6 +46,8 @@ NUMERIC_TOL = 1e-9
 SAMPLE_COUNT = 64
 SAMPLE_DENOMINATOR = 64
 WITNESS_SEED = 0xD1CE
+# The largest domain dimension NumericTension takes: its kernel source grows as m^3.
+NUMERIC_MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -433,18 +435,21 @@ class NumericTension:
     its derivatives dh/dy_g) at every image phi(point) in floats.  The
     metric derivatives and the codomain's compiled metric depend only on the
     space and are built once per space.  The tension kernel of the two
-    spaces then assembles the tension at every point in one call, and
-    ``at(k)`` returns the k-th result.  This is an independent route to the
-    same quantity as the cleared symbolic components (up to the positive
-    clearing factor), used for the exact/numeric coherence checks and as
-    the fallback when composition leaves the symbolic class.
+    spaces and the map's Jacobian pattern then assembles the tension at
+    every point in one call, and ``at(k)`` returns the k-th result.  This is
+    an independent route to the same quantity as the cleared symbolic
+    components (up to the positive clearing factor), used for the
+    exact/numeric coherence checks and as the fallback when composition
+    leaves the symbolic class.  A domain of more than ``NUMERIC_MAX_DIM``
+    dimensions is refused, because the kernel's source grows as m^3.
 
-    The kernel, generated by ``_tension_kernel``, has two bodies and takes
-    one of them at each point.  The structural body runs where the point's
-    ``math.hypot`` over every domain and metric value, structurally zero
-    ones included, is below ``_STRUCTURAL_BOUND``: every value there is
+    The kernel has two bodies and takes one of them at each point.  The
+    structural body, generated by ``_tension_kernel``, runs where the
+    point's ``math.hypot`` over every domain and metric value, structurally
+    zero ones included, is below ``_STRUCTURAL_BOUND``: every value there is
     finite and nothing overflows.  It leaves out each term that is
-    structurally zero for the two spaces:
+    structurally zero for the two spaces and the map's Jacobian pattern
+    (which J_ai are the zero ``Expr``):
 
     - the domain-metric entries (i, j) whose g^ij and every dg^ij/dx_k are
       the zero ``Expr``;
@@ -452,7 +457,11 @@ class NumericTension:
       zero ``Expr``;
     - the chain-rule summand dh_ab/dy_g J_gk where dh_ab/dy_g and
       d(scale)/dy_g are both the zero ``Expr`` (so the metric derivative
-      evaluates to +-0.0), and the chain term of a pair with no summand left.
+      evaluates to +-0.0) or J_gk is, and the chain term of a pair with no
+      summand left;
+    - every term of a block (i, j, pair (a, b)) where J_ai or J_bj is the
+      zero ``Expr`` (then so is each dJ/dx_k of it), and the contraction
+      term g^ij J_ai w_j where J_ai is.
 
     Each left-out term is a finite value times +-0.0 there, so it would add
     only +-0.0 to a running sum that starts at +0.0 and so is never -0.0,
@@ -460,11 +469,12 @@ class NumericTension:
     rounding from Python 3.12 on carries +-0.0 through unchanged.  For the
     same reason the structural body does not test the pairs: a pair whose
     value and derivatives are all 0.0, say where ``e^{-2z}`` underflows,
-    adds only +-0.0.  The full body runs at every other point, a huge or
-    non-finite one included.  It sums every term over every (i, j) and
-    skips a pair only where its value and derivatives are all 0.0, tested
-    inline.  ``exec`` is safe here because the source is built from integer
-    indices only; no expression text or other input reaches it.
+    adds only +-0.0.  The full body, generated by ``_full_body`` when a
+    point first needs it and then once per pair of spaces, runs at every
+    other point, a huge or non-finite one included.  It sums every term over every (i, j) and skips a pair only
+    where its value and derivatives are all 0.0, tested inline.  ``exec``
+    is safe here because the source is built from integer indices only; no
+    expression text or other input reaches it.
 
     The kernel returns the tension values and a scale for the tolerance.
     Per k, it sums the gradient of |dphi|^2 into w_k and the |summand|s of
@@ -481,6 +491,11 @@ class NumericTension:
         self, domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...], points: Sequence
     ):
         m, n = domain.dim, codomain.dim
+        if m > NUMERIC_MAX_DIM:
+            raise UnsupportedExpressionError(
+                f"the numeric fallback takes a domain of at most {NUMERIC_MAX_DIM} dimensions;"
+                f" {domain.label} has {m}"
+            )
         self.domain = domain
         self.codomain = codomain
         self.comps = comps
@@ -512,7 +527,8 @@ class NumericTension:
                 list(map(truediv, map(sub, map(mul, dgv, d), map(mul, gv, ddv)), d2))
                 for dgv, ddv in zip(cod[pos + 1:pos + 1 + n], dd)
             )
-        kernel = _tension_kernel(m, n, pairs, entries, slopes, chains)
+        jacobian = tuple(tuple(map(bool, row)) for row in self.jac)
+        kernel = _tension_kernel(m, n, pairs, entries, slopes, chains, jacobian)
         self._results = kernel(zip(*domain_cols), zip(*h_cols))
 
     def at(self, k: int) -> tuple[list[float], float]:
@@ -520,21 +536,8 @@ class NumericTension:
         return self._results[k]
 
 
-@functools.cache
-def _tension_kernel(m: int, n: int, pairs: tuple, entries: tuple, slopes: tuple, chains: tuple):
-    """The tension assembly for one pair of spaces, compiled as one function over every point.
-
-    ``kernel(domain_rows, h_rows)`` takes, per point, the domain side of
-    ``NumericTension`` (g^ij, dg^ij/dx_k, J_ai, dJ_ai/dx_k, phi) and, per
-    metric pair, h and dh/dy_g, and returns the list of (values, scale) per
-    point.  At a point whose ``math.hypot`` size is below
-    ``_STRUCTURAL_BOUND`` it runs the structural body, over the domain-metric
-    ``entries``, the ``slopes`` (i, j, k) and each pair's ``chains``;
-    anywhere else it runs the full body, over every entry, slope and chain
-    term, with each pair's liveness tested inline.  ``_assembly`` writes
-    both.  The arguments are facts of the two spaces alone, so every map
-    between them shares one compiled kernel.
-    """
+def _value_names(m: int, n: int, pairs: tuple) -> tuple[str, str]:
+    """The locals that a kernel unpacks the domain values and the h values of a point into."""
     rm, rn = range(m), range(n)
     names = [
         *(f"g{i}_{j}" for i in rm for j in rm),
@@ -544,74 +547,144 @@ def _tension_kernel(m: int, n: int, pairs: tuple, entries: tuple, slopes: tuple,
         *("_" for _ in rn),
     ]
     h_names = [name for p in range(len(pairs)) for name in (f"q{p}", *(f"e{p}_{g}" for g in rn))]
-    every = tuple((i, j) for i in rm for j in rm)
-    structural = _assembly(m, n, pairs, entries, set(slopes), chains, guarded=False)
-    full = _assembly(
-        m, n, pairs, every, {(i, j, k) for i, j in every for k in rm}, (tuple(rn),) * len(pairs), guarded=True
-    )
+    return ", ".join(names), ", ".join(h_names)
+
+
+def _compiled(lines: list[str], name: str, title: str, namespace: dict):
+    exec(compile("\n".join(lines), title, "exec"), namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=64)
+def _tension_kernel(
+    m: int, n: int, pairs: tuple, entries: tuple, slopes: tuple, chains: tuple, jacobian: tuple
+):
+    """The tension assembly for one pair of spaces and one Jacobian pattern, as one function over every point.
+
+    ``kernel(domain_rows, h_rows)`` takes, per point, the domain side of
+    ``NumericTension`` (g^ij, dg^ij/dx_k, J_ai, dJ_ai/dx_k, phi) and, per
+    metric pair, h and dh/dy_g, and returns the list of (values, scale) per
+    point.  At a point whose ``math.hypot`` size is below
+    ``_STRUCTURAL_BOUND`` it runs the structural body, which ``_assembly``
+    writes over the domain-metric ``entries``, the ``slopes`` (i, j, k),
+    each pair's ``chains`` and the ``jacobian`` pattern (``jacobian[a][i]``
+    is false where J_ai is the zero ``Expr``); anywhere else it calls the
+    full body of the two spaces, ``_full_body(m, n, pairs)``.  So maps that
+    share a pair of spaces and a Jacobian pattern share one compiled
+    kernel, and all of them share one full body.  The cache is bounded,
+    since the patterns of a pair of spaces are not; a fallback pass meets
+    only a few of them per pair.
+    """
+    names, h_names = _value_names(m, n, pairs)
+    structural = _assembly(m, n, pairs, entries, set(slopes), chains, jacobian, guarded=False)
     lines = [
         "def kernel(domain_rows, h_rows):",
         "    out = []",
         "    for domain_values, h_values in zip(domain_rows, h_rows):",
-        f"        [{', '.join(names)}] = domain_values",
-        f"        [{', '.join(h_names)}] = h_values",
         # hypot is inf or nan when any value is, and at least every |value|.
         "        if hypot(*domain_values, *h_values) < BOUND:",
+        f"            [{names}] = domain_values",
+        f"            [{h_names}] = h_values",
         *(f"            {line}" for line in structural),
+        f"            out.append(([{', '.join(f'v{a}' for a in range(n))}], scale))",
         "        else:",
-        *(f"            {line}" for line in full),
-        f"        out.append(([{', '.join(f'v{a}' for a in rn)}], scale))",
+        "            out.append(full()(domain_values, h_values))",
         "    return out",
     ]
-    namespace: dict = {"hypot": math.hypot, "BOUND": _STRUCTURAL_BOUND}
-    exec(compile("\n".join(lines), f"<tension kernel m={m} n={n}>", "exec"), namespace)
-    return namespace["kernel"]
+    # The full body is compiled when a point first needs it, once per pair of spaces.
+    full = functools.partial(_full_body, m, n, pairs)
+    namespace = {"hypot": math.hypot, "BOUND": _STRUCTURAL_BOUND, "full": full}
+    return _compiled(lines, "kernel", f"<tension kernel m={m} n={n}>", namespace)
+
+
+@functools.cache
+def _full_body(m: int, n: int, pairs: tuple):
+    """The tension assembly at one point with every term, compiled once per pair of spaces.
+
+    ``full(domain_values, h_values)`` returns (values, scale) at a point
+    that the structural body of ``_tension_kernel`` does not take: it sums
+    over every entry, slope, chain and Jacobian entry, and tests each pair's
+    liveness inline.
+    """
+    names, h_names = _value_names(m, n, pairs)
+    rm = range(m)
+    every = tuple((i, j) for i in rm for j in rm)
+    body = _assembly(
+        m, n, pairs, every, {(i, j, k) for i, j in every for k in rm}, (tuple(range(n)),) * len(pairs),
+        ((True,) * m,) * n, guarded=True,
+    )
+    lines = [
+        "def full(domain_values, h_values):",
+        f"    [{names}] = domain_values",
+        f"    [{h_names}] = h_values",
+        *(f"    {line}" for line in body),
+        f"    return [{', '.join(f'v{a}' for a in range(n))}], scale",
+    ]
+    return _compiled(lines, "full", f"<full tension body m={m} n={n}>", {})
 
 
 def _assembly(
-    m: int, n: int, pairs: tuple, entries: tuple, slopes: set, chains: tuple, guarded: bool
+    m: int, n: int, pairs: tuple, entries: tuple, slopes: set, chains: tuple, jacobian: tuple,
+    guarded: bool,
 ) -> list[str]:
     """One body of the tension kernel: the lines that assemble the values and the scale at a point.
 
-    Per k it forms the chain factors ``c_p = sum((dh_g * J_gk, ...))`` over
-    the g in ``chains[p]``, sums the gradient of |dphi|^2 over (i, j, pair)
+    It keeps the blocks (i, j, pair (a, b)) with (i, j) in ``entries`` and
+    both ``jacobian[a][i]`` and ``jacobian[b][j]`` set.  It first forms the
+    left prefixes ``s = g^ij * J_ai`` and ``r = s * J_bj``, which every k
+    and the contraction share; Python multiplies left to right, so reusing a
+    prefix is exact.  Per k it forms the chain factors
+    ``c_p = sum((dh_g * J_gk, ...))`` over the g in ``chains[p]`` with
+    ``jacobian[g][k]`` set, sums the gradient of |dphi|^2 over the blocks
     into w_k and the |summand|s into u_k, with the slope term of (i, j, k)
-    only if it is in ``slopes`` and the chain summand only where the chain
-    is not empty; then it contracts g^ij J_ai w_j and keeps the largest
-    |g^ij J_ai| u_j as the scale, with (i, j) over ``entries`` in their
-    order.  When ``guarded``, a pair whose value and derivatives are all 0.0
-    adds nothing: at a huge or non-finite point, its 0.0 times an infinite
-    factor would add nan.
+    only if it is in ``slopes`` and the chain summand ``r * c_p`` only where
+    that chain is not empty; then it contracts g^ij J_ai w_j over the
+    entries with ``jacobian[a][i]`` set and keeps the largest
+    |g^ij J_ai| u_j as the scale.  When ``guarded``, a pair whose value and
+    derivatives are all 0.0 adds nothing: at a huge or non-finite point,
+    its 0.0 times an infinite factor would add nan.
     """
     rm, rn = range(m), range(n)
+    live = [[tuple(g for g in chain if jacobian[g][k]) for chain in chains] for k in rm]
+    blocks = [
+        (i, j, p, a, b)
+        for i, j in entries
+        for p, (a, b) in enumerate(pairs)
+        if jacobian[a][i] and jacobian[b][j]
+    ]
     lines = []
     if guarded:
         lines += [f"l{p} = q{p} or {' or '.join(f'e{p}_{g}' for g in rn)}" for p in range(len(pairs))]
+    lines += [f"s{a}_{i}_{j} = g{i}_{j} * j{a}_{i}" for i, j in entries for a in rn if jacobian[a][i]]
+    lines += [
+        f"r{p}_{i}_{j} = s{a}_{i}_{j} * j{b}_{j}"
+        for i, j, p, a, b in blocks
+        if any(chains_k[p] for chains_k in live)
+    ]
     for k in rm:
-        for p, chain in enumerate(chains):
+        for p, chain in enumerate(live[k]):
             if chain:
                 products = "".join(f"e{p}_{g} * j{g}_{k}, " for g in chain)
                 lines.append(f"c{p} = sum(({products}))")
         lines += ["t = 0.0", "u = 0.0"]
-        for i, j in entries:
-            for p, (a, b) in enumerate(pairs):
-                slope = f"d{i}_{j}_{k} * j{a}_{i} * j{b}_{j} + " if (i, j, k) in slopes else ""
-                summands = [f"({slope}g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}"]
-                if chains[p]:
-                    summands.append(f"g{i}_{j} * j{a}_{i} * j{b}_{j} * c{p}")
-                block = [line for x in summands for line in (f"x = {x}", "t += x", "u += abs(x)")]
-                lines += [f"if l{p}:", *(f"    {line}" for line in block)] if guarded else block
+        for i, j, p, a, b in blocks:
+            slope = f"d{i}_{j}_{k} * j{a}_{i} * j{b}_{j} + " if (i, j, k) in slopes else ""
+            summands = [f"({slope}g{i}_{j} * (h{a}_{i}_{k} * j{b}_{j} + j{a}_{i} * h{b}_{j}_{k})) * q{p}"]
+            if live[k][p]:
+                summands.append(f"r{p}_{i}_{j} * c{p}")
+            block = [line for x in summands for line in (f"x = {x}", "t += x", "u += abs(x)")]
+            lines += [f"if l{p}:", *(f"    {line}" for line in block)] if guarded else block
         lines += [f"w{k} = t", f"u{k} = u"]
     lines.append("scale = 0.0")
     for a in rn:
         lines.append("t = 0.0")
         for i, j in entries:
-            lines += [
-                f"s = g{i}_{j} * j{a}_{i}",
-                f"y = abs(s) * u{j}",
-                "if y > scale: scale = y",
-                f"t += s * w{j}",
-            ]
+            if jacobian[a][i]:
+                lines += [
+                    f"y = abs(s{a}_{i}_{j}) * u{j}",
+                    "if y > scale: scale = y",
+                    f"t += s{a}_{i}_{j} * w{j}",
+                ]
         lines.append(f"v{a} = t")
     return lines
 

@@ -35,7 +35,6 @@ from .exprcore import (
     _Parser,
     parse_expr,
     parse_rational,
-    partial_derivative,
     to_string,
 )
 
@@ -374,18 +373,6 @@ def pad_components(spec: MapSpec, codomain_dim: int) -> MapSpec:
             components=spec.components + tuple(Expr.zero(m) for _ in range(extra)),
         )
     raise MapSpecError("kind", f"cannot pad a {spec.kind} map")
-
-
-def cauchy_riemann_residuals(cmap: ComplexPolyMap) -> list[Expr]:
-    """All CR residuals du/dx_j - dv/dy_j and du/dy_j + dv/dx_j; zero for holomorphic input."""
-    us, vs = realify(cmap)
-    m = cmap.m
-    out = []
-    for u, v in zip(us, vs):
-        for j in range(m):
-            out.append(partial_derivative(u, j) - partial_derivative(v, m + j))
-            out.append(partial_derivative(u, m + j) + partial_derivative(v, j))
-    return out
 
 
 # ---------------------------------------------------------------------------

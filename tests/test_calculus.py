@@ -10,6 +10,7 @@ from infharm import calculus
 from infharm.calculus import (
     NumericTension,
     _child_seed,
+    _full_body,
     _tension_kernel,
     _witness_candidates,
     energy_density,
@@ -371,16 +372,23 @@ class TestHolomorphicDoubling:
 
 
 def reference_at(nt: NumericTension, point) -> tuple[list[float], float]:
-    """NumericTension.at assembled as before compilation: one evaluation per expression."""
+    """NumericTension.at assembled as before compilation: one evaluation per expression.
+
+    It takes J_ai = d_i phi^a and dJ_ai/dx_k = d_k d_i phi^a from the
+    components itself, every k and i in that order: the two orders of a
+    mixed partial can come out in different term orders, and so round
+    differently.
+    """
     m, n = nt.m, nt.n
+    jac = [[partial_derivative(c, i) for i in range(m)] for c in nt.comps]
     gu = [[reference_evaluate(nt.domain.g_upper[i][j], point) for j in range(m)] for i in range(m)]
     dgu = [
         [[reference_evaluate(nt.dgu[i][j][k], point) for k in range(m)] for j in range(m)]
         for i in range(m)
     ]
-    jval = [[reference_evaluate(nt.jac[a][i], point) for i in range(m)] for a in range(n)]
+    jval = [[reference_evaluate(jac[a][i], point) for i in range(m)] for a in range(n)]
     hval = [
-        [[reference_evaluate(nt.hess[a][i][k], point) for k in range(m)] for i in range(m)]
+        [[reference_evaluate(partial_derivative(jac[a][i], k), point) for k in range(m)] for i in range(m)]
         for a in range(n)
     ]
     phi_pt = [reference_evaluate(c, point) for c in nt.comps]
@@ -602,18 +610,79 @@ class TestCompiledNumericPaths:
         assert "structural" in bodies
 
     def test_maps_of_one_shape_share_one_kernel(self):
-        # The kernel depends on the pair of spaces alone, not on the map or the points.
+        # The structural kernel depends on the pair of spaces and the map's
+        # Jacobian zero pattern, not on the map or the points; the full body,
+        # which e^{2z} = e^{800 x1} sends the point x1 = 1 to, depends on the
+        # pair of spaces alone.
         x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
         _tension_kernel.cache_clear()
-        first_points, second_points = [(Fraction(1, 2), Fraction(1, 3))], sample_points(2, 5, seed=1)
-        first = NumericTension(E2, SOL, (x1, x2, cos_of(2, 0)), first_points)
-        second = NumericTension(E2, SOL, (x2 * x1, x1, exp_of(x2) - x1), second_points)
+        _full_body.cache_clear()
+        huge = (Fraction(1), Fraction(1, 3))
+        first_points, second_points = [(Fraction(1, 2), Fraction(1, 3)), huge], [*sample_points(2, 5, seed=1), huge]
+        maps = (
+            ((x1, x2, 400 * x1), first_points),
+            ((2 * x1, x2 - 1, 400 * x1 + cos_of(2, 0)), second_points),
+            ((x2 * x1, x1, 400 * x1 - x2), second_points),
+        )
+        evaluators = [(NumericTension(E2, SOL, comps, points), points) for comps, points in maps]
         info = _tension_kernel.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        for nt, points in ((first, first_points), (second, second_points)):
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        info = _full_body.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
+        for nt, points in evaluators:
             for k, pt in enumerate(points):
                 values, scale = nt.at(k)
                 assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
+
+    @pytest.mark.parametrize("texts", [
+        # A vertical map on each coordinate: one live Jacobian entry of nine.
+        ["1/2", "-3", "2*cos(x1)"],
+        ["-1/4", "2/3", "-1/3*sin(x2)"],
+        ["3", "1/5", "3/2*exp(-1/2*x3)"],
+        # The second row and the third column of the Jacobian are zero.
+        ["x1*x2 - x2", "7/4", "exp(x1 - 2*x2)"],
+    ])
+    def test_a_sparse_jacobian_matches_the_per_expression_assembly(self, texts):
+        comps = tuple(parse_expr(text, 3) for text in texts)
+        for seed in (0, 1):
+            points = sample_points(3, 64, seed=seed)
+            nt = NumericTension(E3, SOL, comps, points)
+            for k, pt in enumerate(points):
+                values, scale = nt.at(k)
+                assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt))), (texts, pt)
+
+    def test_a_structurally_zero_jacobian_entry_meets_an_overflowing_metric(self, monkeypatch):
+        # J_00 and the second row are the zero Expr; e^{2z} = e^{800 x1}
+        # overflows for x1 above about 0.89, where the full body multiplies the
+        # zero entries by inf, and the structural body, which drops them, must
+        # not run.
+        bodies = self.spy_on_bodies(monkeypatch)
+        x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
+        points = [*sample_points(2, 64, seed=3), (Fraction(1), Fraction(1, 2))]
+        nt = NumericTension(E2, SOL, (x2, Expr.const(2, Fraction(1, 2)), 400 * x1), points)
+        overflow = [k for k, pt in enumerate(points) if 800 * pt[0] > 709]
+        assert overflow
+        nonfinite = 0
+        for k, pt in enumerate(points):
+            values, scale = nt.at(k)
+            expected = reference_at(nt, pt)
+            assert (repr(values), repr(scale)) == tuple(map(repr, expected))
+            nonfinite += not all(map(math.isfinite, expected[0]))
+        assert nonfinite >= len(overflow)
+        assert all(bodies[k] == "full" for k in overflow)
+        assert "structural" in bodies
+
+    def test_mixed_partials_are_taken_in_the_kernel_order(self):
+        # d_2 d_1 and d_1 d_2 of this component are one Expr with its terms in
+        # two orders, whose floats differ at 7 of these 64 points; the kernel
+        # must take dJ_ai/dx_k as d_k of J_ai, for k < i too.
+        text = "x1^2*x2*exp(-2/3*x1^3)*sin(x2) + 2 - 3*x1^2*x2^2"
+        comps = (Expr.coord(2, 0), Expr.coord(2, 1), parse_expr(text, 2))
+        points = sample_points(2, 64, seed=0)
+        nt = NumericTension(E2, SOL, comps, points)
+        for k, pt in enumerate(points):
+            values, scale = nt.at(k)
+            assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt))), pt
 
     def test_a_point_with_a_huge_or_nonfinite_value_takes_the_full_kernel(self, monkeypatch):
         bodies = self.spy_on_bodies(monkeypatch)

@@ -95,6 +95,15 @@ class TestCheck:
         assert code == 2
         assert path in capsys.readouterr().err
 
+    def test_numeric_fallback_above_the_dimension_cap_exit_two(self, tmp_path, capsys):
+        # cos into Sol leaves the decidable class, and the numeric fallback
+        # refuses a domain of more than 12 dimensions.
+        doc = {"kind": "custom", "m": 13, "components": ["x1", "x2", "cos(x1)"]}
+        path = write_map(tmp_path, "wide.json", doc)
+        code = main(["check", "--domain", "euclid:13", "--codomain", "sol", "--map", path])
+        assert code == 2
+        assert "at most 12 dimensions; euclid:13 has 13" in capsys.readouterr().err
+
     def test_padding_into_sol(self, square_map, capsys):
         # too few components is an input error unless --pad is given
         code = main(["check", "--domain", "euclid:1", "--codomain", "sol", "--map", square_map])
