@@ -1,11 +1,11 @@
 """Per-theorem deciders and randomized cross-validation campaigns.
 
-Each supported (space pair, map family) has a predictor that evaluates the
-classifying algebraic criterion exactly on the map's rational data; the
-cross-validator compares the prediction against the direct symbolic tension
-computation.  Campaigns draw seeded random maps and report disagreements,
-so a nonempty counterexample list always points at a defect (in the
-criterion, the calculus, or the sampler).
+Each (map family, space pair) listed in COVERAGE has a predictor that
+evaluates the classifying algebraic criterion exactly on the map's rational
+data; the cross-validator compares the prediction against the direct
+symbolic tension computation.  Campaigns draw seeded random maps and report
+disagreements, so a nonempty counterexample list always points at a defect
+(in the criterion, the calculus, or the sampler).
 
 All randomness is derived per trial from (seed, trial index) through
 SHA-256, so results are identical regardless of execution order.
@@ -262,7 +262,8 @@ _LINE_NAMES = {
 }
 
 
-def _predict_nil_sol(A: RatMatrix, tag: str, pattern: str, routes) -> Verdict:
+def _predict_nil_sol(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
+    tag, pattern, routes = NIL_SOL_PATTERNS[domain.kind, codomain.kind]
     lines = mat_transpose(A) if pattern == "projection" else A
     used = sorted({k for zero, _ in routes for k in zero})
     det = {_LINE_NAMES[pattern][k]: [str(v) for v in lines[k]] for k in used}
@@ -298,8 +299,32 @@ def conformal_linear_residuals(
     return out
 
 
+def _predict_conformal(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
+    residuals = conformal_linear_residuals(domain, codomain, A, b)
+    ok = all(is_zero(r) for r in residuals)
+    named = {f"criterion[{i}]": not is_zero(r) for i, r in enumerate(residuals)}
+    return Verdict(harmonic=ok, tag="Unconstrained", residuals={} if ok else named)
+
+
+def _predict_isometric_immersion(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
+    if any(v != 0 for v in b):
+        raise UnsupportedPairError("sphere-to-sphere prediction covers linear maps (b = 0) only")
+    residual = mat_sub(mat_mul(mat_transpose(A), A), mat_identity(domain.dim))
+    if mat_is_zero(residual):
+        return Verdict(True, "IsometricImmersion", {})
+    return Verdict(
+        False,
+        "IsometricImmersion",
+        {"AtA_minus_I": [[str(v) for v in row] for row in residual]},
+    )
+
+
+def _predict_constant_only(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
+    return Verdict(False, "ConstantMap", {"A": [[str(v) for v in row] for row in A]})
+
+
 def predict_linear(domain: ModelSpace, codomain: ModelSpace, A, b=None) -> Verdict:
-    """Theorem criterion for an affine map A X + b between supported spaces."""
+    """Theorem criterion for an affine map A X + b between covered spaces."""
     A = tuple(tuple(Fraction(v) for v in row) for row in A)
     n, m = len(A), len(A[0]) if A else 0
     if n != codomain.dim or m != domain.dim:
@@ -307,65 +332,13 @@ def predict_linear(domain: ModelSpace, codomain: ModelSpace, A, b=None) -> Verdi
             f"matrix is {n}x{m}, pair is {domain.label} -> {codomain.label}"
         )
     bvec = tuple(Fraction(v) for v in b) if b is not None else (Fraction(0),) * n
-    dk, ck = domain.kind, codomain.kind
     if mat_is_zero(A):
         return Verdict(harmonic=True, tag="ConstantMap", residuals={})
-
-    if dk == "euclid" and ck == "euclid":
-        return Verdict(harmonic=True, tag="AffineOnly", residuals={})
-
-    if (dk, ck) in NIL_SOL_PATTERNS:
-        return _predict_nil_sol(A, *NIL_SOL_PATTERNS[dk, ck])
-
-    if dk == "sphere" and ck == "sphere":
-        if any(v != 0 for v in bvec):
-            raise UnsupportedPairError(
-                "sphere-to-sphere prediction covers linear maps (b = 0) only"
-            )
-        ata = mat_mul(mat_transpose(A), A)
-        residual = mat_sub(ata, mat_identity(m))
-        if mat_is_zero(residual):
-            return Verdict(True, "IsometricImmersion", {})
-        return Verdict(
-            False,
-            "IsometricImmersion",
-            {"AtA_minus_I": [[str(v) for v in row] for row in residual]},
-        )
-
-    if (dk, ck) in (("euclid", "sphere"), ("sphere", "euclid")):
-        # nonzero A was excluded above, so any surviving map is not harmonic
-        return Verdict(False, "ConstantMap", {"A": [[str(v) for v in row] for row in A]})
-
-    if dk in ("euclid", "sphere", "conformal") and ck in ("euclid", "sphere", "conformal"):
-        residuals = conformal_linear_residuals(domain, codomain, A, bvec)
-        ok = all(is_zero(r) for r in residuals)
-        named = {f"criterion[{i}]": not is_zero(r) for i, r in enumerate(residuals)}
-        return Verdict(harmonic=ok, tag="Unconstrained", residuals={} if ok else named)
-
-    raise UnsupportedPairError(f"no linear predictor for {domain.label} -> {codomain.label}")
+    return _predictor("linear", domain, codomain)(domain, codomain, A, bvec)
 
 
-def predict_quadratic(
-    domain: ModelSpace, codomain: ModelSpace, quads, A=None, b=None
-) -> Verdict:
-    """Quadratic-family criterion: the quadratic part must vanish outright,
-    after which the affine part is governed by the linear predictor."""
-    dk, ck = domain.kind, codomain.kind
-    supported = (
-        (dk == "euclid" and ck == "euclid")
-        or (dk == "euclid" and ck in ("sphere", "sol", "nil"))
-        or (dk == "sphere" and ck == "euclid")
-    )
-    if not supported:
-        raise UnsupportedPairError(
-            f"no quadratic predictor for {domain.label} -> {codomain.label}"
-        )
-    quads = tuple(tuple(tuple(Fraction(v) for v in row) for row in q) for q in quads)
-    if len(quads) != codomain.dim or (quads and len(quads[0]) != domain.dim):
-        raise UnsupportedPairError(
-            f"{len(quads)} quadratic forms of size {len(quads[0]) if quads else 0},"
-            f" pair is {domain.label} -> {codomain.label}"
-        )
+def _quadratic_then_linear(domain: ModelSpace, codomain: ModelSpace, quads, A, b) -> Verdict:
+    """L2.1: the quadratic part must vanish outright; the linear predictor decides the rest."""
     check = matrix_lemma_condition(quads)
     if not check.all_zero:
         return Verdict(
@@ -373,13 +346,23 @@ def predict_quadratic(
             "AffineOnly",
             {"anticommutators_nonzero": not check.holds, "quadratic_nonzero": True},
         )
-    n, m = codomain.dim, domain.dim
-    a_mat = (
-        tuple(tuple(Fraction(v) for v in row) for row in A)
-        if A is not None
-        else tuple((Fraction(0),) * m for _ in range(n))
-    )
-    return predict_linear(domain, codomain, a_mat, b)
+    if A is None:
+        A = tuple((0,) * domain.dim for _ in range(codomain.dim))
+    return predict_linear(domain, codomain, A, b)
+
+
+def predict_quadratic(
+    domain: ModelSpace, codomain: ModelSpace, quads, A=None, b=None
+) -> Verdict:
+    """Quadratic-family criterion for the pair's COVERAGE entry."""
+    predictor = _predictor("quadratic", domain, codomain)
+    quads = tuple(tuple(tuple(Fraction(v) for v in row) for row in q) for q in quads)
+    if len(quads) != codomain.dim or (quads and len(quads[0]) != domain.dim):
+        raise UnsupportedPairError(
+            f"{len(quads)} quadratic forms of size {len(quads[0]) if quads else 0},"
+            f" pair is {domain.label} -> {codomain.label}"
+        )
+    return predictor(domain, codomain, quads, A, b)
 
 
 def predict_holomorphic(cmap: ComplexPolyMap) -> Verdict:
@@ -438,13 +421,48 @@ def predict_holomorphic(cmap: ComplexPolyMap) -> Verdict:
     )
 
 
-def predict(domain: ModelSpace | None, codomain: ModelSpace | None, spec: MapSpec) -> Verdict:
+_CONFORMAL_KINDS = ("euclid", "sphere", "conformal")
+_EUCLID_SPHERE = (("euclid", "sphere"), ("sphere", "euclid"))
+
+# The one record of which pairs each family's predictor covers: family (the
+# `search --family` names) -> {(domain kind, codomain kind): predictor}.  A
+# linear predictor takes (domain, codomain, A, b) with A nonzero, a quadratic
+# one (domain, codomain, quads, A, b), a holomorphic one the complex map.
+COVERAGE = {
+    "linear": {
+        # L3.1 on every conformally flat pair, then the sharper statements
+        **{(d, c): _predict_conformal for d in _CONFORMAL_KINDS for c in _CONFORMAL_KINDS},
+        ("euclid", "euclid"): lambda domain, codomain, A, b: Verdict(True, "AffineOnly", {}),
+        ("sphere", "sphere"): _predict_isometric_immersion,
+        **dict.fromkeys(_EUCLID_SPHERE, _predict_constant_only),
+        **dict.fromkeys(NIL_SOL_PATTERNS, _predict_nil_sol),
+    },
+    "quadratic": {
+        ("euclid", "euclid"): _quadratic_then_linear,
+        ("euclid", "sphere"): _quadratic_then_linear,
+        ("euclid", "sol"): _quadratic_then_linear,
+        ("euclid", "nil"): _quadratic_then_linear,
+        ("sphere", "euclid"): _quadratic_then_linear,
+    },
+    # the criterion is Euclidean: realification gives a map R^2m -> R^2n
+    "holomorphic": {("euclid", "euclid"): predict_holomorphic},
+}
+
+
+def _predictor(family: str, domain: ModelSpace, codomain: ModelSpace):
+    predictor = COVERAGE[family].get((domain.kind, codomain.kind))
+    if predictor is None:
+        raise UnsupportedPairError(f"no {family} predictor covers {domain.label} -> {codomain.label}")
+    return predictor
+
+
+def predict(domain: ModelSpace, codomain: ModelSpace, spec: MapSpec) -> Verdict:
     if spec.kind == "affine":
         return predict_linear(domain, codomain, spec.A, spec.b)
     if spec.kind == "quadratic":
         return predict_quadratic(domain, codomain, spec.quad, spec.A, spec.b)
     if spec.kind == "holomorphic":
-        return predict_holomorphic(spec.complex_map)
+        return _predictor("holomorphic", domain, codomain)(spec.complex_map)
     raise UnsupportedPairError(f"no predictor for map kind {spec.kind!r}")
 
 
@@ -452,22 +470,15 @@ def predict(domain: ModelSpace | None, codomain: ModelSpace | None, spec: MapSpe
 # cross-validation
 
 
-def spaces_for(spec: MapSpec) -> tuple[ModelSpace, ModelSpace]:
-    """Euclidean realification spaces for a holomorphic map."""
-    return build_euclidean(spec.domain_dim), build_euclidean(spec.codomain_dim)
-
-
 def cross_validate(
-    domain: ModelSpace | None,
-    codomain: ModelSpace | None,
+    domain: ModelSpace,
+    codomain: ModelSpace,
     spec: MapSpec,
     seed: int = 0,
     check_numeric: bool = True,
     mode: str = "exact",
 ) -> CrossReport:
     """Predicted criterion verdict vs direct symbolic tension, plus numeric coherence."""
-    if spec.kind == "holomorphic" and (domain is None or codomain is None):
-        domain, codomain = spaces_for(spec)
     try:
         predicted = predict(domain, codomain, spec)
     except UnsupportedPairError:
@@ -510,22 +521,20 @@ def falsify_search(
 ) -> SearchOutcome:
     """Random-coefficient disagreement hunt for one (family, pair).
 
-    Every sampled map must have a predictor: a trial without one checks
-    nothing, so the search stops with UnsupportedPairError instead of
-    counting it as agreement.
+    A trial without a predictor checks nothing, so a pair that COVERAGE does
+    not list for the family is refused with UnsupportedPairError before the
+    first trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if family not in COVERAGE:
+        raise ValueError(f"unknown family {family!r}; use linear, quadratic, or holomorphic")
+    _predictor(family, domain, codomain)
     counterexamples = []
     for trial in range(trials):
         rng = Random(_child_seed(seed, f"falsify:{family}:{trial}"))
         spec = _sample_family(family, domain, codomain, rng)
         report = cross_validate(domain, codomain, spec, seed=_child_seed(seed, f"cv:{trial}"))
-        if report.predicted is None:
-            raise UnsupportedPairError(
-                f"no {family} predictor covers {domain.label} -> {codomain.label}"
-                f" (trial {trial} drew a map it cannot decide)"
-            )
         if report.agree is False or not report.numeric_ok:
             counterexamples.append(_counterexample(spec, report))
     return SearchOutcome(
@@ -547,15 +556,13 @@ def _sample_family(family: str, domain: ModelSpace, codomain: ModelSpace, rng: R
         if domain.kind == "euclid" and codomain.kind == "euclid":
             return quadratic_map(quads, rand_matrix(rng, n, m, 0.5), [rand_rational(rng) for _ in range(n)])
         return quadratic_map(quads)
-    if family == "holomorphic":
-        for space in (domain, codomain):
-            if space.dim % 2:
-                raise UnsupportedPairError(
-                    "holomorphic maps need even-dimensional Euclidean spaces (C^k = R^2k);"
-                    f" {space.label} has odd dimension {space.dim}"
-                )
-        return holomorphic_map(_sample_holomorphic(rng, m // 2, n // 2))
-    raise ValueError(f"unknown family {family!r}; use linear, quadratic, or holomorphic")
+    for space in (domain, codomain):
+        if space.dim % 2:
+            raise UnsupportedPairError(
+                "holomorphic maps need even-dimensional Euclidean spaces (C^k = R^2k);"
+                f" {space.label} has odd dimension {space.dim}"
+            )
+    return holomorphic_map(_sample_holomorphic(rng, m // 2, n // 2))
 
 
 def _sample_holomorphic(rng: Random, m: int, n: int) -> ComplexPolyMap:
@@ -689,7 +696,6 @@ def _family_suite(theorem: str, m_range, n_range, pairs, zero_period: int, sampl
     return runner
 
 
-_EUCLID_SPHERE = (("euclid", "sphere"), ("sphere", "euclid"))
 _suite_t22 = _family_suite("T2.2", (2, 3), (1, 3), (("euclid", "euclid"),), 2, _pure_quadratic)
 _suite_t23 = _family_suite("T2.3", (2, 3), (1, 3), (("euclid", "euclid"),), 2, _quadratic_affine)
 _suite_t33 = _family_suite("T3.3", (1, 3), (1, 3), _EUCLID_SPHERE, 4, _linear)
@@ -710,8 +716,7 @@ def _suite_l31(trial: int, rng: Random, seed: int):
     dom, cod = build_space(dlabel), build_space(clabel)
     a = rand_matrix(rng, cod.dim, dom.dim, zero_prob=0.5 if trial % 2 else 1.0)
     spec = affine_map(a)
-    residuals = conformal_linear_residuals(dom, cod, spec.A, spec.b)
-    lemma_harmonic = mat_is_zero(spec.A) or all(is_zero(r) for r in residuals)
+    lemma_harmonic = mat_is_zero(spec.A) or _predict_conformal(dom, cod, spec.A, spec.b).harmonic
     direct = infinity_tension(dom, cod, spec, seed=_child_seed(seed, f"L3.1:{trial}"))
     ok = lemma_harmonic == direct.is_harmonic
     if ok and direct.verdict == "zero" and direct.components is not None:
@@ -799,17 +804,12 @@ def _suite_t81(trial: int, rng: Random, seed: int):
         cmap = _sample_cpoly_map(rng, m, n, 3)
     us, vs = realify(cmap)
     dom = build_euclidean(2 * m)
-    full = infinity_tension(
-        dom, build_euclidean(2 * n), custom_map(2 * m, list(us + vs)),
-        seed=_child_seed(seed, f"T8.1f:{trial}"),
-    )
-    upart = infinity_tension(
-        dom, build_euclidean(n), custom_map(2 * m, list(us)),
-        seed=_child_seed(seed, f"T8.1u:{trial}"),
-    )
-    vpart = infinity_tension(
-        dom, build_euclidean(n), custom_map(2 * m, list(vs)),
-        seed=_child_seed(seed, f"T8.1v:{trial}"),
+    full, upart, vpart = (
+        infinity_tension(
+            dom, build_euclidean(len(comps)), custom_map(2 * m, list(comps)),
+            seed=_child_seed(seed, f"T8.1{part}:{trial}"),
+        )
+        for part, comps in (("f", us + vs), ("u", us), ("v", vs))
     )
     ok = full.is_harmonic == upart.is_harmonic == vpart.is_harmonic
     if ok and full.verdict == "zero":
@@ -835,9 +835,8 @@ def _suite_t83(trial: int, rng: Random, seed: int):
         cmap = _sample_normal_form(rng, m, lambda: trial % 4 == 0)
     else:
         cmap = _sample_nonaffine(rng, m)
-    spec = holomorphic_map(cmap)
-    dom, cod = spaces_for(spec)
-    return _agree_trial(dom, cod, spec, seed, "T8.3", trial)
+    dom, cod = build_euclidean(2 * m), build_euclidean(2)
+    return _agree_trial(dom, cod, holomorphic_map(cmap), seed, "T8.3", trial)
 
 
 def _suite_l21(trial: int, rng: Random, seed: int):

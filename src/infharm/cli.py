@@ -72,10 +72,40 @@ def _load_map(path: str, codomain=None, pad: bool = False):
     return spec
 
 
-def _write_json(path: str | None, report: dict) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+def _map_report(args, names):
+    """The spaces, the map and the report fields shared by check, energy and tension."""
+    domain = build_space(args.domain)
+    codomain = build_space(args.codomain)
+    spec = _load_map(args.map, codomain, args.pad)
+    doc = {
+        "command": args.command,
+        "invocation": _invocation(args, names),
+        "domain": domain.label,
+        "codomain": codomain.label,
+        "map": serialize_mapspec(spec),
+        "map_digest": map_digest(spec),
+    }
+    return domain, codomain, spec, doc
+
+
+def _tension_fields(direct) -> dict:
+    return {
+        "mode": direct.mode,
+        "tension_components": None
+        if direct.components is None
+        else [to_string(c) for c in direct.components],
+        "tension_clearing": _render(direct.tension_clearing),
+        "verdict": direct.verdict,
+        "witness": _witness_json(direct.witness),
+    }
+
+
+def _finish(args, doc: dict, started: float) -> None:
+    """Stamp elapsed_s and write the JSON report when --json was given."""
+    doc["elapsed_s"] = round(time.monotonic() - started, 6)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -108,34 +138,19 @@ def _render(expr) -> str | None:
 def cmd_check(args) -> int:
     started = time.monotonic()
     seed = _resolve_seed(args)
-    domain = build_space(args.domain)
-    codomain = build_space(args.codomain)
-    spec = _load_map(args.map, codomain, args.pad)
+    domain, codomain, spec, doc = _map_report(args, ("domain", "codomain", "map", "mode", "pad", "seed"))
     report = cross_validate(domain, codomain, spec, seed=seed, mode=args.mode)
     direct = report.direct
-    doc = {
-        "command": "check",
-        "invocation": _invocation(args, ("domain", "codomain", "map", "mode", "pad", "seed")),
-        "domain": domain.label,
-        "codomain": codomain.label,
-        "map": serialize_mapspec(spec),
-        "map_digest": map_digest(spec),
-        "mode": direct.mode,
-        "energy_density": _render(direct.energy_density),
-        "energy_clearing": _render(direct.energy_clearing),
-        "tension_components": None
-        if direct.components is None
-        else [to_string(c) for c in direct.components],
-        "tension_clearing": _render(direct.tension_clearing),
-        "verdict": direct.verdict,
-        "witness": _witness_json(direct.witness),
-        "predicted": _verdict_json(report.predicted),
-        "agree": report.agree,
-        "numeric_ok": report.numeric_ok,
-        "seed": seed,
-        "elapsed_s": round(time.monotonic() - started, 6),
-    }
-    _write_json(args.json, doc)
+    doc.update(
+        _tension_fields(direct),
+        energy_density=_render(direct.energy_density),
+        energy_clearing=_render(direct.energy_clearing),
+        predicted=_verdict_json(report.predicted),
+        agree=report.agree,
+        numeric_ok=report.numeric_ok,
+        seed=seed,
+    )
+    _finish(args, doc, started)
     print(f"{domain.label} -> {codomain.label}  map {doc['map_digest']}")
     if doc["energy_density"] is not None:
         clearing = doc["energy_clearing"]
@@ -156,22 +171,10 @@ def cmd_check(args) -> int:
 
 def cmd_energy(args) -> int:
     started = time.monotonic()
-    domain = build_space(args.domain)
-    codomain = build_space(args.codomain)
-    spec = _load_map(args.map, codomain, args.pad)
+    domain, codomain, spec, doc = _map_report(args, ("domain", "codomain", "map", "pad"))
     energy = energy_density(domain, codomain, spec)
-    doc = {
-        "command": "energy",
-        "invocation": _invocation(args, ("domain", "codomain", "map", "pad")),
-        "domain": domain.label,
-        "codomain": codomain.label,
-        "map": serialize_mapspec(spec),
-        "map_digest": map_digest(spec),
-        "energy_density": to_string(energy.num),
-        "energy_clearing": to_string(energy.clearing),
-        "elapsed_s": round(time.monotonic() - started, 6),
-    }
-    _write_json(args.json, doc)
+    doc.update(energy_density=to_string(energy.num), energy_clearing=to_string(energy.clearing))
+    _finish(args, doc, started)
     if energy.is_plain:
         print(doc["energy_density"])
     else:
@@ -182,28 +185,10 @@ def cmd_energy(args) -> int:
 def cmd_tension(args) -> int:
     started = time.monotonic()
     seed = _resolve_seed(args)
-    domain = build_space(args.domain)
-    codomain = build_space(args.codomain)
-    spec = _load_map(args.map, codomain, args.pad)
+    domain, codomain, spec, doc = _map_report(args, ("domain", "codomain", "map", "mode", "pad", "seed"))
     direct = infinity_tension(domain, codomain, spec, mode=args.mode, seed=seed)
-    doc = {
-        "command": "tension",
-        "invocation": _invocation(args, ("domain", "codomain", "map", "mode", "pad", "seed")),
-        "domain": domain.label,
-        "codomain": codomain.label,
-        "map": serialize_mapspec(spec),
-        "map_digest": map_digest(spec),
-        "mode": direct.mode,
-        "tension_components": None
-        if direct.components is None
-        else [to_string(c) for c in direct.components],
-        "tension_clearing": _render(direct.tension_clearing),
-        "verdict": direct.verdict,
-        "witness": _witness_json(direct.witness),
-        "seed": seed,
-        "elapsed_s": round(time.monotonic() - started, 6),
-    }
-    _write_json(args.json, doc)
+    doc.update(_tension_fields(direct), seed=seed)
+    _finish(args, doc, started)
     if doc["tension_components"] is None:
         print("tension components left the symbolic class; sampled numerically")
     else:
@@ -254,9 +239,8 @@ def cmd_suite(args) -> int:
         "total_disagreements": total_bad,
         "trials": args.trials,
         "seed": seed,
-        "elapsed_s": round(time.monotonic() - started, 6),
     }
-    _write_json(args.json, doc)
+    _finish(args, doc, started)
     print(f"total disagreements: {total_bad}")
     return 0 if total_bad == 0 else 1
 
@@ -290,9 +274,8 @@ def cmd_search(args) -> int:
         "trials": outcome.trials,
         "seed": outcome.seed,
         "counterexamples": list(outcome.counterexamples),
-        "elapsed_s": round(time.monotonic() - started, 6),
     }
-    _write_json(args.json, doc)
+    _finish(args, doc, started)
     print(
         f"{outcome.family} {outcome.domain} -> {outcome.codomain}: "
         f"{outcome.trials} trials, {len(outcome.counterexamples)} counterexamples"

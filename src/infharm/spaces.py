@@ -271,7 +271,8 @@ def christoffel(space: ModelSpace) -> ChristoffelTable:
     Conformal spaces use the closed form
     ``gamma^k_ij = -(F_i d_jk + F_j d_ik - F_k d_ij)`` with ``scale = F``;
     everything else uses the direct formula
-    ``Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)``.
+    ``Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)``, summed over
+    the nonzero inverse-metric entries only.
     """
     if space._christoffel_cache:
         return space._christoffel_cache[0]
@@ -309,9 +310,9 @@ def christoffel(space: ModelSpace) -> ChristoffelTable:
                 for j in range(dim):
                     total = Expr.zero(dim)
                     for l in range(dim):
-                        total = total + space.g_upper[k][l] * (
-                            dg[i][j][l] + dg[j][i][l] - dg[l][i][j]
-                        )
+                        gkl = space.g_upper[k][l]
+                        if gkl:
+                            total = total + gkl * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
                     row.append(total * half)
                 rows.append(tuple(row))
             gamma_rows.append(tuple(rows))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from random import Random
 
@@ -174,6 +175,37 @@ class TestHolomorphicPredictor:
         assert v.harmonic and v.tag == "SplitsRealImag"
 
 
+class TestCoverage:
+    """One COVERAGE record decides which pairs each family's predictor covers."""
+
+    def test_holomorphic_criterion_covers_euclidean_pairs_only(self):
+        spec = holomorphic_map(ComplexPolyMap(1, 1, (parse_cpoly("2*z1", 1),)))
+        assert classify.predict(E2, E2, spec).tag == "HomothetyOfProjection"
+        for dom, cod in ((S2, S2), (build_space("semi-euclid:2:-+"), E2)):
+            with pytest.raises(UnsupportedPairError, match="no holomorphic predictor covers"):
+                classify.predict(dom, cod, spec)
+            rep = cross_validate(dom, cod, spec)
+            assert rep.predicted is None and rep.agree is None
+
+    def test_uncovered_pairs_raise_one_message(self):
+        with pytest.raises(UnsupportedPairError, match="^no linear predictor covers nil -> sol$"):
+            predict_linear(NIL, SOL, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(UnsupportedPairError, match="^no quadratic predictor covers sphere:2 -> sphere:2$"):
+            predict_quadratic(S2, S2, [frac_matrix([[1, 0], [0, 0]])] * 2)
+
+    def test_zero_matrix_is_constant_on_an_uncovered_pair(self):
+        v = predict_linear(NIL, SOL, [[0, 0, 0]] * 3, [1, 2, 3])
+        assert v.harmonic and v.tag == "ConstantMap"
+
+    def test_every_linear_pair_matches_its_statement(self):
+        linear = classify.COVERAGE["linear"]
+        conformal = ("euclid", "sphere", "conformal")
+        expected = {(d, c) for d in conformal for c in conformal} | set(classify.NIL_SOL_PATTERNS)
+        assert set(linear) == expected
+        assert set(classify.COVERAGE["quadratic"]) <= set(linear)
+        assert set(classify.COVERAGE["holomorphic"]) == {("euclid", "euclid")}
+
+
 class TestCrossValidate:
     def test_identity_agrees(self):
         rep = cross_validate(E2, E2, affine_map([[1, 0], [0, 1]]))
@@ -285,6 +317,37 @@ class TestFalsifySearch:
             falsify_search("linear", semi, E1, 1000, seed=0)
         with pytest.raises(UnsupportedPairError, match="no quadratic predictor covers"):
             falsify_search("quadratic", NIL, E2, 10, seed=0)
+
+    @pytest.mark.parametrize("family, domain, codomain", [
+        ("linear", "semi-euclid:2:-+", "euclid:1"),
+        ("quadratic", "nil", "euclid:2"),
+        ("holomorphic", "sphere:2", "sphere:2"),
+        ("holomorphic", "semi-euclid:2:-+", "euclid:2"),
+    ])
+    def test_uncovered_search_runs_no_trial(self, monkeypatch, family, domain, codomain):
+        calls = []
+        real = classify.cross_validate
+        monkeypatch.setattr(
+            classify, "cross_validate", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        message = re.escape(f"no {family} predictor covers {domain} -> {codomain}")
+        with pytest.raises(UnsupportedPairError, match=f"^{message}$"):
+            falsify_search(family, build_space(domain), build_space(codomain), 20, seed=0)
+        assert calls == []
+
+    def test_one_coverage_entry_covers_a_pair(self, monkeypatch):
+        seen = []
+
+        def stub(domain, codomain, quads, A, b):
+            seen.append((domain.label, codomain.label, len(quads)))
+            return classify.Verdict(False, "Stub", {})
+
+        with pytest.raises(UnsupportedPairError):
+            predict_quadratic(NIL, E2, [frac_matrix([[0] * 3] * 3)] * 2)
+        monkeypatch.setitem(classify.COVERAGE["quadratic"], ("nil", "euclid"), stub)
+        out = falsify_search("quadratic", NIL, E2, 3, 0)
+        assert out.trials == 3
+        assert seen == [("nil", "euclid:2", 2)] * 3
 
     def test_determinism(self):
         a = falsify_search("linear", SOL, E3, 50, seed=123)

@@ -115,6 +115,28 @@ class TestCheck:
         assert code == 1
         assert "nonzero" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("domain, codomain, verdict", [
+        ("sphere:2", "sphere:2", "nonzero"),
+        ("semi-euclid:2:-+", "euclid:2", "zero"),
+    ])
+    def test_holomorphic_off_euclidean_pairs_has_no_prediction(self, tmp_path, capsys, domain, codomain, verdict):
+        path = write_map(tmp_path, "holo.json", {"kind": "holomorphic", "m": 1, "complex": ["2*z1"]})
+        report = tmp_path / "report.json"
+        code = main(["check", "--domain", domain, "--codomain", codomain, "--map", path, "--json", str(report)])
+        out = capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert code == (0 if verdict == "zero" else 1)
+        assert doc["verdict"] == verdict
+        assert doc["predicted"] is None and doc["agree"] is None
+        assert "predicted:" not in out
+
+    def test_holomorphic_on_euclidean_pair_is_predicted(self, tmp_path, capsys):
+        path = write_map(tmp_path, "holo.json", {"kind": "holomorphic", "m": 1, "complex": ["2*z1"]})
+        code = main(["check", "--domain", "euclid:2", "--codomain", "euclid:2", "--map", path])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "predicted: harmonic [HomothetyOfProjection] -- agrees" in out
+
 
 class TestEnergy:
     def test_nil_example(self, tmp_path, capsys):
@@ -256,6 +278,17 @@ class TestSearchCommand:
         assert code == 2
         assert "counterexamples" not in captured.out
         assert "no linear predictor covers semi-euclid:2:-+ -> euclid:1" in captured.err
+
+    @pytest.mark.parametrize("domain, codomain", [("sphere:2", "sphere:2"), ("semi-euclid:2:-+", "euclid:2")])
+    def test_holomorphic_off_euclidean_pairs_exit_two(self, capsys, domain, codomain):
+        code = main(
+            ["search", "--family", "holomorphic", "--domain", domain, "--codomain", codomain,
+             "--trials", "20", "--seed", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"no holomorphic predictor covers {domain} -> {codomain}" in captured.err
 
     def test_holomorphic_odd_dimension_exit_two(self, capsys):
         code = main(

@@ -100,6 +100,41 @@ def test_nil_christoffel_values():
     assert table.gamma[0][1][1] == -Expr.coord(3, 0)
 
 
+def _all_l_christoffel(sp):
+    """The direct formula summed over every l, zero inverse-metric entries included."""
+    d = sp.dim
+    dg = [[[partial_derivative(sp.g_lower[i][j], k) for j in range(d)] for i in range(d)] for k in range(d)]
+    gamma = []
+    for k in range(d):
+        rows = []
+        for i in range(d):
+            row = []
+            for j in range(d):
+                total = Expr.zero(d)
+                for l in range(d):
+                    total = total + sp.g_upper[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                row.append(total * Fraction(1, 2))
+            rows.append(row)
+        gamma.append(rows)
+    return gamma
+
+
+@pytest.mark.parametrize("label", ["nil", "sol", "semi-euclid:3:-++", "euclid:3"])
+def test_christoffel_skipping_zero_inverse_entries_keeps_every_table(label):
+    sp = build_space(label)
+    table = christoffel(sp)
+    reference = _all_l_christoffel(sp)
+    d = sp.dim
+    for k in range(d):
+        for i in range(d):
+            for j in range(d):
+                got, want = table.gamma[k][i][j], reference[k][i][j]
+                # storage and key order, not only the value
+                assert (got._den, list(got._nums.items())) == (want._den, list(want._nums.items())), (
+                    label, k, i, j,
+                )
+
+
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_christoffel_symmetry_and_compatibility(label):
     """Symmetry in the lower pair, and metric compatibility in cleared form:
