@@ -16,6 +16,18 @@ that convention against an independent divergence-form computation.
 Every scalar contraction ``g^{ij} u_i v_j`` goes through ``_contract``, in
 fixed (i, j) order, because the order of ``Expr.terms`` is part of the
 expression contract and the witness floats in the reports depend on it.
+
+Each quantity is assembled in one way.  A scalar function u is the map
+u: M -> R into ``REAL_LINE``, so the scalar operators are the map operators
+applied to it: |grad u|^2 is the energy density of u, the infinity-Laplacian
+is half its tension component, and the p-Laplacian is its p-tension.  The
+harmonic tension ``tension_field`` is built from ``laplace_beltrami`` of each
+component plus the codomain connection term.  The second routes kept on
+purpose are oracles for the first: ``hessian_form`` (Hess u(grad u, grad u),
+which the LEM1.1 suite compares with the infinity-Laplacian), the
+divergence form of ``p_tension`` on Euclidean pairs, ``fd_p_tension``
+(finite differences) and ``NumericTension`` (float assembly without
+symbolic composition).
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from .exprcore import (
     substitute,
 )
 from .mapspec import MapSpec, materialize
-from .spaces import ModelSpace, christoffel
+from .spaces import ModelSpace, build_space, christoffel
 
 NUMERIC_TOL = 1e-9
 SAMPLE_COUNT = 64
@@ -48,6 +60,8 @@ SAMPLE_DENOMINATOR = 64
 WITNESS_SEED = 0xD1CE
 # The largest domain dimension NumericTension takes: its kernel source grows as m^3.
 NUMERIC_MAX_DIM = 12
+# The codomain of a scalar function: every scalar operator is a map operator into it.
+REAL_LINE = build_space("euclid:1")
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,14 @@ class Witness:
     point: tuple[Fraction, ...]
     component: int
     value: float
+
+    def to_json(self) -> dict:
+        """The witness as reports print it: the point's coordinates as exact strings."""
+        return {
+            "point": [str(v) for v in self.point],
+            "component": self.component,
+            "value": self.value,
+        }
 
 
 @dataclass(frozen=True)
@@ -120,7 +142,7 @@ def _contract(space: ModelSpace, u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# scalar operators
+# scalar operators: a function is a map into REAL_LINE
 
 
 def metric_gradient(space: ModelSpace, f: Expr) -> tuple[Expr, ...]:
@@ -142,17 +164,14 @@ def metric_gradient(space: ModelSpace, f: Expr) -> tuple[Expr, ...]:
 
 
 def gradient_norm_squared(space: ModelSpace, f: Expr) -> Expr:
-    """|grad f|^2_g = g^{ij} f_i f_j (polynomial class for catalog spaces)."""
-    partials = [partial_derivative(f, j) for j in range(space.dim)]
-    return _contract(space, partials, partials)
+    """|grad f|^2_g = g^{ij} f_i f_j: the energy density of f as a map into R."""
+    return energy_density(space, REAL_LINE, (f,)).num
 
 
 def infinity_laplacian(space: ModelSpace, u: Expr) -> Expr:
-    """(1/2) g(grad u, grad |grad u|^2_g)."""
-    w = gradient_norm_squared(space, u)
-    du = [partial_derivative(u, j) for j in range(space.dim)]
-    dw = [partial_derivative(w, j) for j in range(space.dim)]
-    return _contract(space, du, dw) * Fraction(1, 2)
+    """(1/2) g(grad u, grad |grad u|^2_g): half the tension component of u as a map into R."""
+    _check_dims(space, REAL_LINE, (u,))
+    return _tension_components(space, REAL_LINE, (u,))[0][0] * Fraction(1, 2)
 
 
 def _hessian_against(space: ModelSpace, u: Expr, weight) -> ClearedExpr:
@@ -188,20 +207,11 @@ def laplace_beltrami(space: ModelSpace, u: Expr) -> ClearedExpr:
 def p_laplacian(space: ModelSpace, u: Expr, p: int) -> ClearedExpr:
     """Cleared p-Laplacian |grad u|^{p-4} (|grad u|^2 Lap u + (p-2) InfLap u).
 
-    p must be 2 or an even integer >= 4 to stay in the polynomial class;
-    p = 2 reduces to the Laplace-Beltrami operator.
+    This is the p-tension of u as a map into R, so p must be an even integer
+    >= 2; p = 2 gives the Laplace-Beltrami operator.
     """
-    if not isinstance(p, int) or p < 2 or p % 2 != 0:
-        raise UnsupportedExpressionError(
-            f"exact p-Laplacian needs an even integer p >= 2, got {p!r}"
-        )
-    lb = laplace_beltrami(space, u)
-    if p == 2:
-        return lb
-    w = gradient_norm_squared(space, u)
-    dinf = infinity_laplacian(space, u)
-    num = w ** ((p - 4) // 2) * (w * lb.num + (p - 2) * lb.clearing * dinf)
-    return ClearedExpr(num=num, clearing=lb.clearing)
+    (num,), clearing = p_tension(space, REAL_LINE, (u,), p)
+    return ClearedExpr(num=num, clearing=clearing)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +322,8 @@ def _find_witness(components: Sequence[Expr], nvars: int) -> Witness:
     )
 
 
-def numeric_zero_check(
-    components: Sequence[Expr],
-    nvars: int,
-    seed: int = 0,
-    count: int = SAMPLE_COUNT,
-    tol: float = NUMERIC_TOL,
-) -> bool:
-    """All components stay below tol at `count` sample points.
+def numeric_zero_check(components: Sequence[Expr], nvars: int, seed: int = 0) -> bool:
+    """All components stay below NUMERIC_TOL at SAMPLE_COUNT sample points.
 
     Tolerance is absolute after normalizing by 1 + |largest monomial| at the
     point, which keeps the test meaningful for large cleared numerators.
@@ -329,10 +333,11 @@ def numeric_zero_check(
     live = [c for c in components if c]
     if not live:
         return True
-    values, magnitudes = FloatProgram(nvars, live).at_points(sample_points(nvars, count, seed))
+    points = sample_points(nvars, SAMPLE_COUNT, seed)
+    values, magnitudes = FloatProgram(nvars, live).at_points(points)
     for value_column, magnitude_column in zip(values, magnitudes):
         for val, mag in zip(value_column, magnitude_column):
-            if abs(val) > tol * (1.0 + mag):
+            if abs(val) > NUMERIC_TOL * (1.0 + mag):
                 return False
     return True
 
@@ -689,23 +694,16 @@ def _assembly(
     return lines
 
 
-def independent_numeric_check(
-    domain: ModelSpace,
-    codomain: ModelSpace,
-    phi,
-    seed: int = 0,
-    count: int = SAMPLE_COUNT,
-    tol: float = NUMERIC_TOL,
-) -> bool:
-    """All numerically assembled tension values stay below tol at sample points."""
+def independent_numeric_check(domain: ModelSpace, codomain: ModelSpace, phi, seed: int = 0) -> bool:
+    """All numerically assembled tension values stay below NUMERIC_TOL at sample points."""
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
-    points = sample_points(domain.dim, count, seed)
+    points = sample_points(domain.dim, SAMPLE_COUNT, seed)
     evaluator = NumericTension(domain, codomain, comps, points)
     for k in range(len(points)):
         values, scale = evaluator.at(k)
         for val in values:
-            if abs(val) > tol * (1.0 + scale):
+            if abs(val) > NUMERIC_TOL * (1.0 + scale):
                 return False
     return True
 
@@ -756,41 +754,30 @@ def _numeric_tension_report(
 def tension_field(
     domain: ModelSpace, codomain: ModelSpace, phi
 ) -> tuple[tuple[Expr, ...], Expr]:
-    """Cleared harmonic-map tension tau_2 and its clearing divisor."""
+    """Cleared harmonic-map tension tau_2 and its clearing divisor.
+
+    tau_2^g = Lap(phi^g) + Gamma^g_ab(phi) g(dphi^a, dphi^b).  Lap(phi^g)
+    comes from ``laplace_beltrami`` over the domain's connection scale, and
+    Gamma^g_ab over the codomain's scale composed with phi, so each part is
+    multiplied by the other's scale and the clearing is their product.
+    """
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
-    m, n = domain.dim, codomain.dim
-    tdom = christoffel(domain)
+    n = codomain.dim
+    scale = christoffel(domain).scale
     tcod = christoffel(codomain)
-    jac = _jacobian(comps, m)
     sc_phi = substitute(tcod.scale, comps)
-    gamma_phi = [
-        [[substitute(tcod.gamma[g][a][b], comps) if tcod.gamma[g][a][b] else Expr.zero(m)
-          for b in range(n)] for a in range(n)]
-        for g in range(n)
-    ]
+    jac = _jacobian(comps, domain.dim)
     out = []
     for g in range(n):
-        total = Expr.zero(m)
-        for i in range(m):
-            for j in range(m):
-                gij = domain.g_upper[i][j]
-                if not gij:
-                    continue
-                term = partial_derivative(jac[g][i], j) * tdom.scale * sc_phi
-                for k in range(m):
-                    gk = tdom.gamma[k][i][j]
-                    if gk:
-                        term = term - gk * jac[g][k] * sc_phi
-                for a in range(n):
-                    for b in range(n):
-                        gp = gamma_phi[g][a][b]
-                        if gp:
-                            term = term + gp * jac[a][i] * jac[b][j] * tdom.scale
-                total = total + gij * term
+        total = laplace_beltrami(domain, comps[g]).num * sc_phi
+        for a in range(n):
+            for b in range(n):
+                gamma = tcod.gamma[g][a][b]
+                if gamma:
+                    total = total + substitute(gamma, comps) * _contract(domain, jac[a], jac[b]) * scale
         out.append(total)
-    clearing = tdom.scale * sc_phi
-    return tuple(out), clearing
+    return tuple(out), scale * sc_phi
 
 
 def p_tension(

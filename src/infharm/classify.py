@@ -475,7 +475,6 @@ def cross_validate(
     codomain: ModelSpace,
     spec: MapSpec,
     seed: int = 0,
-    check_numeric: bool = True,
     mode: str = "exact",
 ) -> CrossReport:
     """Predicted criterion verdict vs direct symbolic tension, plus numeric coherence."""
@@ -486,11 +485,7 @@ def cross_validate(
     direct = infinity_tension(domain, codomain, spec, mode=mode, seed=seed)
     agree = None if predicted is None else (predicted.harmonic == direct.is_harmonic)
     numeric_ok = True
-    if (
-        check_numeric
-        and direct.verdict == "zero"
-        and direct.components is not None
-    ):
+    if direct.verdict == "zero" and direct.components is not None:
         numeric_ok = numeric_zero_check(
             direct.components, domain.dim, seed=_child_seed(seed, "coherence")
         )
@@ -507,12 +502,7 @@ def _counterexample(spec: MapSpec, report: CrossReport) -> dict:
     if report.predicted is not None and report.predicted.flags:
         entry["flags"] = list(report.predicted.flags)
     if report.direct.witness is not None:
-        w = report.direct.witness
-        entry["witness"] = {
-            "point": [str(v) for v in w.point],
-            "component": w.component,
-            "value": w.value,
-        }
+        entry["witness"] = report.direct.witness.to_json()
     return entry
 
 
@@ -943,7 +933,11 @@ THEOREMS = {
 SUITE_ALL = tuple(THEOREMS)
 
 
-def run_suite(theorem: str, trials: int, seed: int, max_failures: int = 5) -> SuiteResult:
+# The failing trials a suite result lists in full; the rest are only counted.
+MAX_FAILURES = 5
+
+
+def run_suite(theorem: str, trials: int, seed: int) -> SuiteResult:
     """Run one theorem campaign; deterministic for a fixed (trials, seed)."""
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREMS)}")
@@ -957,7 +951,7 @@ def run_suite(theorem: str, trials: int, seed: int, max_failures: int = 5) -> Su
         ok, detail = runner(trial, rng, seed)
         if not ok:
             disagreements += 1
-            if len(failures) < max_failures:
+            if len(failures) < MAX_FAILURES:
                 failures.append({"trial": trial, **(detail or {})})
     return SuiteResult(
         theorem=theorem,

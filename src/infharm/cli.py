@@ -96,7 +96,7 @@ def _tension_fields(direct) -> dict:
         else [to_string(c) for c in direct.components],
         "tension_clearing": _render(direct.tension_clearing),
         "verdict": direct.verdict,
-        "witness": _witness_json(direct.witness),
+        "witness": None if direct.witness is None else direct.witness.to_json(),
     }
 
 
@@ -118,16 +118,6 @@ def _verdict_json(verdict) -> dict | None:
         "residuals": {k: v for k, v in sorted(verdict.residuals.items())},
         "flags": list(verdict.flags),
         "detail": {k: v for k, v in sorted(verdict.detail.items())},
-    }
-
-
-def _witness_json(witness) -> dict | None:
-    if witness is None:
-        return None
-    return {
-        "point": [str(v) for v in witness.point],
-        "component": witness.component,
-        "value": witness.value,
     }
 
 

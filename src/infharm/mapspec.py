@@ -24,7 +24,7 @@ than silently symmetrized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exprcore import (
@@ -303,23 +303,15 @@ def materialize(spec: MapSpec) -> tuple[Expr, ...]:
     """The map's components as canonical expressions over the domain coordinates."""
     m = spec.domain_dim
     xs = _coords(m)
-    if spec.kind == "affine":
+    if spec.kind in ("affine", "quadratic"):
         out = []
         for alpha in range(spec.codomain_dim):
             comp = Expr.const(m, spec.b[alpha])
-            for j in range(m):
-                comp = comp + spec.A[alpha][j] * xs[j]
-            out.append(comp)
-        return tuple(out)
-    if spec.kind == "quadratic":
-        out = []
-        for alpha in range(spec.codomain_dim):
-            comp = Expr.const(m, spec.b[alpha])
-            q = spec.quad[alpha]
-            for i in range(m):
-                for j in range(m):
-                    if q[i][j] != 0:
-                        comp = comp + q[i][j] * xs[i] * xs[j]
+            q = () if spec.quad is None else spec.quad[alpha]
+            for i, row in enumerate(q):
+                for j, v in enumerate(row):
+                    if v != 0:
+                        comp = comp + v * xs[i] * xs[j]
             for j in range(m):
                 comp = comp + spec.A[alpha][j] * xs[j]
             out.append(comp)
@@ -347,32 +339,20 @@ def pad_components(spec: MapSpec, codomain_dim: int) -> MapSpec:
         )
     m = spec.domain_dim
     extra = codomain_dim - n
-    if spec.kind == "affine":
-        return MapSpec(
-            kind="affine",
-            domain_dim=m,
-            codomain_dim=codomain_dim,
-            A=spec.A + tuple((Fraction(0),) * m for _ in range(extra)),
-            b=spec.b + (Fraction(0),) * extra,
-        )
-    if spec.kind == "quadratic":
-        zero_q = tuple((Fraction(0),) * m for _ in range(m))
-        return MapSpec(
-            kind="quadratic",
-            domain_dim=m,
-            codomain_dim=codomain_dim,
-            A=spec.A + tuple((Fraction(0),) * m for _ in range(extra)),
-            b=spec.b + (Fraction(0),) * extra,
-            quad=spec.quad + tuple(zero_q for _ in range(extra)),
-        )
     if spec.kind == "custom":
-        return MapSpec(
-            kind="custom",
-            domain_dim=m,
-            codomain_dim=codomain_dim,
-            components=spec.components + tuple(Expr.zero(m) for _ in range(extra)),
+        return replace(
+            spec, codomain_dim=codomain_dim, components=spec.components + (Expr.zero(m),) * extra
         )
-    raise MapSpecError("kind", f"cannot pad a {spec.kind} map")
+    if spec.kind not in ("affine", "quadratic"):
+        raise MapSpecError("kind", f"cannot pad a {spec.kind} map")
+    zero_row = (Fraction(0),) * m
+    return replace(
+        spec,
+        codomain_dim=codomain_dim,
+        A=spec.A + (zero_row,) * extra,
+        b=spec.b + (Fraction(0),) * extra,
+        quad=None if spec.quad is None else spec.quad + ((zero_row,) * m,) * extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +391,7 @@ def parse_mapspec(document) -> MapSpec:
     try:
         if kind == "affine":
             A = _rat_matrix(document["A"], "A")
-            b = None
-            if "b" in document:
-                b = [_rat(v, f"b[{i}]") for i, v in enumerate(document["b"])]
-                if len(b) != len(A):
-                    raise MapSpecError("b", f"expected {len(A)} entries, got {len(b)}")
+            b = [_rat(v, f"b[{i}]") for i, v in enumerate(document["b"])] if "b" in document else None
             return affine_map(A, b)
         if kind == "quadratic":
             quads = document["quad"]
@@ -464,19 +440,15 @@ def parse_mapspec(document) -> MapSpec:
 
 
 def serialize_mapspec(spec: MapSpec) -> dict:
-    if spec.kind == "affine":
-        return {
-            "kind": "affine",
+    if spec.kind in ("affine", "quadratic"):
+        doc = {
+            "kind": spec.kind,
             "A": [[str(v) for v in row] for row in spec.A],
             "b": [str(v) for v in spec.b],
         }
-    if spec.kind == "quadratic":
-        return {
-            "kind": "quadratic",
-            "quad": [[[str(v) for v in row] for row in q] for q in spec.quad],
-            "A": [[str(v) for v in row] for row in spec.A],
-            "b": [str(v) for v in spec.b],
-        }
+        if spec.quad is not None:
+            doc["quad"] = [[[str(v) for v in row] for row in q] for q in spec.quad]
+        return doc
     if spec.kind == "custom":
         return {
             "kind": "custom",

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from infharm import calculus
+from infharm import calculus, classify
 from infharm.calculus import (
     NumericTension,
     _child_seed,
@@ -42,7 +42,7 @@ from infharm.exprcore import (
     to_string,
 )
 from infharm.mapspec import affine_map, custom_map, materialize, quadratic_map
-from infharm.spaces import build_space
+from infharm.spaces import CATALOG_EXAMPLES, build_space
 
 from conftest import (
     rand_coeff,
@@ -245,6 +245,49 @@ class TestScalarOperators:
             assert is_zero(infinity_laplacian(sp, u) - coord_form)
 
 
+class TestScalarOperatorsAreMapOperators:
+    def test_p_laplacian_matches_the_composed_identity(self):
+        """|grad u|^{p-4} (|grad u|^2 Lap u + (p-2) InfLap u), both sides cleared.
+
+        On Euclidean spaces ``p_laplacian`` takes the divergence route, so
+        there this compares it with the composed one.
+        """
+        rng = Random(404)
+        for label in CATALOG_EXAMPLES:
+            sp = build_space(label)
+            for p in (4, 6):
+                for _ in range(2):
+                    u = random_polynomial(rng, sp.dim, max_deg=2, terms=3)
+                    pl = p_laplacian(sp, u, p)
+                    w = gradient_norm_squared(sp, u)
+                    lb = laplace_beltrami(sp, u)
+                    num = w ** ((p - 4) // 2) * (
+                        w * lb.num + (p - 2) * lb.clearing * infinity_laplacian(sp, u)
+                    )
+                    assert is_zero(pl.num * lb.clearing - num * pl.clearing), (label, p)
+
+    def test_lem11_checks_the_tension_assembly(self, monkeypatch):
+        """The LEM1.1 suite tests the assembly that decides every verdict."""
+        assert classify.run_suite("LEM1.1", 20, 0).disagreements == 0
+        assemble = calculus._tension_components
+
+        def perturbed(domain, codomain, comps):
+            out, clearing, energy = assemble(domain, codomain, comps)
+            return tuple(c + Expr.coord(c.nvars, 0) for c in out), clearing, energy
+
+        monkeypatch.setattr(calculus, "_tension_components", perturbed)
+        assert classify.run_suite("LEM1.1", 20, 0).disagreements > 0
+
+    def test_scalar_dimension_mismatch_raises_the_map_message(self):
+        for operator in (infinity_laplacian, gradient_norm_squared):
+            with pytest.raises(DimensionError, match="component uses 3 coordinates"):
+                operator(E2, parse_expr("x1", 3))
+
+    def test_p_laplacian_names_the_p_tension_in_its_refusal(self):
+        with pytest.raises(UnsupportedExpressionError, match="p-tension"):
+            p_laplacian(E2, parse_expr("x1", 2), 4.0)
+
+
 class TestPLaplacian:
     def test_p2_is_laplace_beltrami(self):
         u = parse_expr("x1^2 + x2^2", 2)
@@ -287,6 +330,15 @@ class TestTensionFields:
         assert is_zero(tp[0] - rep.components[0])
         x, y = Expr.coord(2, 0), Expr.coord(2, 1)
         assert tp[0] == 16 * x * x - 16 * y * y
+
+    def test_identity_has_zero_tension_on_every_catalog_space(self):
+        """Lap x^g and the codomain connection term meet over one clearing."""
+        for label in CATALOG_EXAMPLES:
+            sp = build_space(label)
+            identity = [[int(i == j) for j in range(sp.dim)] for i in range(sp.dim)]
+            t2, clearing = tension_field(sp, sp, affine_map(identity))
+            assert all(is_zero(t) for t in t2), label
+            assert clearing
 
     def test_sphere_identity_totally_geodesic(self):
         spec = affine_map([[1, 0], [0, 1]])

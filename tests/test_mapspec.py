@@ -17,6 +17,8 @@ from infharm.mapspec import (
     materialize,
     parse_cpoly,
     parse_expr,
+    holomorphic_map,
+    pad_components,
     parse_mapspec,
     quadratic_map,
     realify,
@@ -83,6 +85,56 @@ def cauchy_riemann_residuals(cmap: ComplexPolyMap) -> list[Expr]:
             out.append(partial_derivative(u, j) - partial_derivative(v, m + j))
             out.append(partial_derivative(u, m + j) + partial_derivative(v, j))
     return out
+
+
+class TestPadComponents:
+    def test_affine(self):
+        spec = affine_map([[1, 2]], [3])
+        padded = pad_components(spec, 3)
+        zero = Fraction(0)
+        assert padded == MapSpec(
+            kind="affine",
+            domain_dim=2,
+            codomain_dim=3,
+            A=((1, 2), (zero, zero), (zero, zero)),
+            b=(3, zero, zero),
+        )
+        assert materialize(padded) == materialize(spec) + (Expr.zero(2), Expr.zero(2))
+
+    def test_quadratic(self):
+        spec = quadratic_map([[[1, 0], [0, -1]]], [[1, 2]], [3])
+        padded = pad_components(spec, 2)
+        zero = Fraction(0)
+        assert padded == MapSpec(
+            kind="quadratic",
+            domain_dim=2,
+            codomain_dim=2,
+            A=((1, 2), (zero, zero)),
+            b=(3, zero),
+            quad=(((1, 0), (0, -1)), ((zero, zero), (zero, zero))),
+        )
+        assert materialize(padded) == materialize(spec) + (Expr.zero(2),)
+
+    def test_custom(self):
+        comp = parse_expr("x1*x2 + cos(x1)", 2)
+        padded = pad_components(custom_map(2, [comp]), 3)
+        assert padded == MapSpec(
+            kind="custom",
+            domain_dim=2,
+            codomain_dim=3,
+            components=(comp, Expr.zero(2), Expr.zero(2)),
+        )
+
+    def test_same_size_is_unchanged_and_shrinking_is_refused(self):
+        spec = affine_map([[1, 2]], [3])
+        assert pad_components(spec, 1) is spec
+        with pytest.raises(MapSpecError, match="cannot shrink"):
+            pad_components(affine_map([[1], [2]]), 1)
+
+    def test_holomorphic_is_refused(self):
+        spec = holomorphic_map(ComplexPolyMap(1, 1, (parse_cpoly("z1^2", 1),)))
+        with pytest.raises(MapSpecError, match="cannot pad a holomorphic map"):
+            pad_components(spec, 4)
 
 
 class TestRealify:

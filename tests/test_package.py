@@ -1,9 +1,12 @@
 """The package namespace: public names load their module on first use."""
 
+import dataclasses
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,21 @@ def test_every_public_name_is_its_modules_object():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         infharm.no_such_name
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """bench/tracing.py wraps these names and bench/workloads.py reads the rest."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bench_tracing", root / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, module, attr in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"infharm.{module}"), attr)), (module, attr)
+    for _, module, cls, attr in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"infharm.{module}"), cls)
+        assert callable(getattr(owner, attr)), (module, cls, attr)
+    from infharm import calculus, classify
+
+    assert all(callable(runner) for _, runner in classify.THEOREMS.values())
+    assert callable(classify._rng_for) and callable(calculus._witness_candidates)
+    assert "numeric_ok" in {f.name for f in dataclasses.fields(classify.CrossReport)}
