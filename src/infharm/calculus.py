@@ -28,6 +28,26 @@ which the LEM1.1 suite compares with the infinity-Laplacian), the
 divergence form of ``p_tension`` on Euclidean pairs, ``fd_p_tension``
 (finite differences) and ``NumericTension`` (float assembly without
 symbolic composition).
+
+Verdict first.  In exact mode ``infinity_tension`` first evaluates
+tau^a = g^ij d_i phi^a d_j |dphi|^2 at one fixed point p of F_P^m, with
+P = ``PRIME`` = 2^61 - 1 and p drawn once per m from a fixed seed
+(``_tension_mod_p``), in integer arithmetic modulo P.  Evaluation at p
+modulo P is a ring homomorphism from the local ring of Z[x] at the maximal
+ideal (P, x - p) onto F_P, and the route checks that every divisor it uses
+is a unit there: each coefficient denominator, and the codomain scale at
+phi(p).  So a nonzero residue proves tau^a != 0 in Q(x), that is, the
+cleared component is not the zero ``Expr``, and the verdict is "nonzero"
+without expanding anything.  At a random point, a nonzero tension of
+degree d vanishes with probability at most d/P (the Schwartz-Zippel lemma:
+Schwartz 1980, Zippel 1979); a zero residue costs only time, because the
+symbolic route then decides as before.  That route runs unchanged when the
+residue is 0, when a map component or a metric entry has exp or trig terms
+(every Sol pair), when P divides a denominator, when the codomain scale
+vanishes mod P at phi(p), and in numeric mode.  A report that the point
+route decided computes its tension, energy and witness when a caller first
+reads them, by ``_tension_components`` and ``_find_witness``, so every
+printed report is the same as the eager one.
 """
 
 from __future__ import annotations
@@ -48,7 +68,9 @@ from .exprcore import (
     FloatProgram,
     UnsupportedExpressionError,
     is_zero,
+    jet_residues,
     partial_derivative,
+    residue,
     substitute,
 )
 from .mapspec import MapSpec, materialize
@@ -60,6 +82,8 @@ SAMPLE_DENOMINATOR = 64
 WITNESS_SEED = 0xD1CE
 # The largest domain dimension NumericTension takes: its kernel source grows as m^3.
 NUMERIC_MAX_DIM = 12
+# The modulus of the exact point route: the Mersenne prime 2^61 - 1.
+PRIME = 2**61 - 1
 # The codomain of a scalar function: every scalar operator is a map operator into it.
 REAL_LINE = build_space("euclid:1")
 
@@ -93,6 +117,15 @@ class Witness:
 
 @dataclass(frozen=True)
 class TensionReport:
+    """The verdict on a map, with the expanded tension behind it.
+
+    A "nonzero" exact report that the prime point route decided is deferred:
+    ``components``, ``tension_clearing``, ``energy_density``,
+    ``energy_clearing`` and ``witness`` are computed when one of them is
+    first read, by ``_tension_components`` and ``_find_witness``, and an
+    error of either surfaces at that read.
+    """
+
     energy_density: Expr | None           # cleared numerator; None in numeric-only mode
     energy_clearing: Expr | None
     components: tuple[Expr, ...] | None   # cleared tension components
@@ -104,6 +137,39 @@ class TensionReport:
     @property
     def is_harmonic(self) -> bool:
         return self.verdict == "zero"
+
+    @classmethod
+    def _deferred(
+        cls, domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...]
+    ) -> "TensionReport":
+        """An exact "nonzero" report whose other five fields are computed on first read."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "verdict", "nonzero")
+        object.__setattr__(report, "mode", "exact")
+        object.__setattr__(report, "_source", (domain, codomain, comps))
+        return report
+
+    def __getattr__(self, name: str):
+        # Reached only for a field that a deferred report has not computed yet.
+        source = self.__dict__.get("_source")
+        if source is None or name not in _DEFERRED_FIELDS:
+            raise AttributeError(name)
+        if name == "witness":
+            values = {"witness": _find_witness(self.components, source[0].dim)}
+        else:
+            components, clearing, energy = _tension_components(*source)
+            values = {
+                "components": components,
+                "tension_clearing": clearing,
+                "energy_density": energy.num,
+                "energy_clearing": energy.clearing,
+            }
+        for field_name, value in values.items():
+            object.__setattr__(self, field_name, value)
+        return values[name]
+
+
+_DEFERRED_FIELDS = ("components", "tension_clearing", "energy_density", "energy_clearing", "witness")
 
 
 def _components_of(phi) -> tuple[Expr, ...]:
@@ -342,6 +408,83 @@ def numeric_zero_check(components: Sequence[Expr], nvars: int, seed: int = 0) ->
     return True
 
 
+@functools.cache
+def _prime_point(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The fixed point of F_P^m that the point route evaluates at, and its inverse coordinates."""
+    rng = random.Random(_child_seed(WITNESS_SEED, f"prime point:{m}"))
+    point = tuple(rng.randrange(1, PRIME) for _ in range(m))
+    return point, tuple(pow(x, -1, PRIME) for x in point)
+
+
+def _prime_metric(space: ModelSpace) -> tuple | None:
+    """(entries, g^ij, dg^ij/dx_k) mod PRIME at the space's prime point, once per space.
+
+    ``entries`` are ``_domain_metric``'s.  None when a metric entry (lower,
+    upper or scale) has exp or trig terms or PRIME divides its denominator,
+    so the space takes no part in the point route.  Otherwise no derivative
+    of an entry has either defect, and every residue the route takes exists.
+    """
+    cache = space._numeric_cache
+    if "prime" not in cache:
+        point = _prime_point(space.dim)[0]
+        metric = (space.lower_scale, *(e for row in (*space.g_lower, *space.g_upper) for e in row))
+        cache["prime"] = None
+        if all(residue(e, point, PRIME) is not None for e in metric):
+            dgu, entries, _ = _domain_metric(space)
+            g = [[residue(e, point, PRIME) for e in row] for row in space.g_upper]
+            dg = [[[residue(e, point, PRIME) for e in col] for col in plane] for plane in dgu]
+            cache["prime"] = (entries, g, dg)
+    return cache["prime"]
+
+
+def _tension_mod_p(
+    domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...]
+) -> tuple[int, ...] | None:
+    """tau^a = g^ij d_i phi^a d_j |dphi|^2 at the domain's prime point p, mod PRIME.
+
+    The map's value, gradient and Hessian at p come from ``jet_residues``;
+    |dphi|^2 uses h = g_lower / lower_scale at phi(p), and its derivative
+    dh/dy_d = (dg_d * scale - g * dscale_d) / scale^2 uses the derivatives
+    that ``_codomain_metric`` caches.  None where the route does not apply:
+    a component or a metric entry with exp or trig terms, a denominator that
+    PRIME divides, or a codomain scale that vanishes mod PRIME at phi(p).
+    """
+    dom = _prime_metric(domain)
+    if dom is None or _prime_metric(codomain) is None:
+        return None
+    entries, g, dg = dom
+    m, n = domain.dim, codomain.dim
+    point, inverses = _prime_point(m)
+    jets = [jet_residues(c, point, inverses, PRIME) for c in comps]
+    if None in jets:
+        return None
+    y = [value for value, _, _ in jets]
+    jac = [grad for _, grad, _ in jets]
+    hess = [h for _, _, h in jets]
+    dh, dscale, pairs, _, _ = _codomain_metric(codomain)
+    scale = residue(codomain.lower_scale, y, PRIME)
+    if not scale:
+        return None
+    ds = [residue(e, y, PRIME) for e in dscale]
+    inv = pow(scale, -1, PRIME)
+    inv2 = inv * inv
+    dw = [0] * m
+    for b, c in pairs:
+        gv = residue(codomain.g_lower[b][c], y, PRIME)
+        dgv = [residue(e, y, PRIME) for e in dh[b][c]]
+        hv = gv * inv % PRIME
+        dhv = [(dgd * scale - gv * dsd) * inv2 % PRIME for dgd, dsd in zip(dgv, ds)]
+        chain = [sum(dhv[d] * jac[d][k] for d in range(n)) % PRIME for k in range(m)]
+        jb, jc, hb, hc = jac[b], jac[c], hess[b], hess[c]
+        for i, j in entries:
+            gij, dgij = g[i][j], dg[i][j]
+            jbc = jb[i] * jc[j]
+            for k in range(m):
+                hessian = hb[i][k] * jc[j] + jb[i] * hc[j][k]
+                dw[k] += (dgij[k] * jbc + gij * hessian) * hv + gij * jbc * chain[k]
+    return tuple(sum(g[i][j] * row[i] * dw[j] for i, j in entries) % PRIME for row in jac)
+
+
 def infinity_tension(
     domain: ModelSpace,
     codomain: ModelSpace,
@@ -351,17 +494,22 @@ def infinity_tension(
 ) -> TensionReport:
     """Tension components g(grad phi^a, grad |dphi|^2) with an exact verdict.
 
-    mode "exact" decides by the symbolic zero test and falls back to numeric
-    sampling only when the composition leaves the decidable class; mode
-    "numeric" forces the sampled verdict.
+    mode "exact" first evaluates the tension at the domain's prime point
+    (``_tension_mod_p``): a nonzero residue decides "nonzero", and the report
+    expands the tension only when a caller reads it.  Otherwise it decides
+    by the symbolic zero test and falls back to numeric sampling only when
+    the composition leaves the decidable class; mode "numeric" forces the
+    sampled verdict.
     """
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
+    exact = mode == "exact"
+    if exact and any(_tension_mod_p(domain, codomain, comps) or ()):
+        return TensionReport._deferred(domain, codomain, comps)
     try:
         components, clearing, energy = _tension_components(domain, codomain, comps)
     except UnsupportedExpressionError:
         return _numeric_tension_report(domain, codomain, comps, seed)
-    exact = mode == "exact"
     if exact:
         zero = all(is_zero(c) for c in components)
     else:

@@ -10,6 +10,7 @@ can be overridden with --seed or the IH_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -300,7 +301,9 @@ def cmd_spaces(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="infharm",
         description="Exact symbolic checker for infinity-harmonic maps between model geometries.",

@@ -864,6 +864,66 @@ def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# evaluation modulo a prime
+#
+# Reduction modulo a prime q maps the rationals whose denominators q does not
+# divide onto F_q, and it is a ring homomorphism; so is evaluating Q[x] at an
+# integer point p modulo q, on the polynomials whose denominators q does not
+# divide.  The residues below are that image of e(p) and its derivatives.
+
+
+def residue(e: Expr, point: Sequence[int], modulus: int) -> int | None:
+    """e(point) modulo the prime ``modulus``, for a polynomial e at an integer point.
+
+    None when e has exp or trig terms or ``modulus`` divides its denominator.
+    """
+    den = e._den % modulus
+    if not den or not e.is_polynomial():
+        return None
+    total = 0
+    for (coords, _, _), n in e._nums.items():
+        for i, k in coords:
+            n = n * pow(point[i], k, modulus) % modulus
+        total += n
+    return total * pow(den, -1, modulus) % modulus
+
+
+def jet_residues(
+    e: Expr, point: Sequence[int], inverses: Sequence[int], modulus: int
+) -> tuple[int, list[int], list[list[int]]] | None:
+    """The value, gradient and Hessian of a polynomial at an integer point, modulo a prime.
+
+    ``inverses[i]`` is the inverse of ``point[i]`` modulo ``modulus``, so
+    every coordinate must be a unit: a monomial of value v and exponents k
+    adds k_i v / x_i to d_i e and (k_j - [i == j]) k_i v / (x_i x_j) to
+    d_i d_j e.  None as for ``residue``.
+    """
+    den = e._den % modulus
+    if not den or not e.is_polynomial():
+        return None
+    m = e.nvars
+    value = 0
+    grad = [0] * m
+    hess = [[0] * m for _ in range(m)]
+    for (coords, _, _), n in e._nums.items():
+        for i, k in coords:
+            n = n * pow(point[i], k, modulus) % modulus
+        value += n
+        for i, ki in coords:
+            gi = n * ki * inverses[i] % modulus
+            grad[i] += gi
+            row = hess[i]
+            for j, kj in coords:
+                row[j] += gi * (kj - (i == j)) * inverses[j]
+    inv = pow(den, -1, modulus)
+    return (
+        value * inv % modulus,
+        [g * inv % modulus for g in grad],
+        [[h * inv % modulus for h in row] for row in hess],
+    )
+
+
+# ---------------------------------------------------------------------------
 # rendering and parsing
 #
 # Rendered strings are themselves valid expression inputs, so reports can be

@@ -56,7 +56,7 @@ class ModelSpace:
     signature: tuple[int, ...]
     conformal_factor: Expr | None = None
     _christoffel_cache: list = field(default_factory=list, compare=False, repr=False)
-    # Float evaluation data that depends only on the space, filled by calculus.
+    # Evaluation data that depends only on the space, filled by calculus.
     _numeric_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -88,6 +88,7 @@ def _diag(entries: list[Expr]) -> Matrix:
     )
 
 
+@functools.cache
 def build_euclidean(dim: int) -> ModelSpace:
     if dim < 1:
         raise SpaceError(f"dimension must be >= 1, got {dim}")

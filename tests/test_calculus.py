@@ -8,8 +8,13 @@ import pytest
 
 from infharm import calculus, classify
 from infharm.calculus import (
+    PRIME,
     NumericTension,
     _child_seed,
+    _components_of,
+    _prime_point,
+    _tension_components,
+    _tension_mod_p,
     _full_body,
     _tension_kernel,
     _witness_candidates,
@@ -39,10 +44,11 @@ from infharm.exprcore import (
     is_zero,
     parse_expr,
     partial_derivative,
+    residue,
     to_string,
 )
 from infharm.mapspec import affine_map, custom_map, materialize, quadratic_map
-from infharm.spaces import CATALOG_EXAMPLES, build_space
+from infharm.spaces import CATALOG_EXAMPLES, build_conformal, build_space
 
 from conftest import (
     rand_coeff,
@@ -788,3 +794,104 @@ class TestCompiledNumericPaths:
     def test_independent_check_rejects_a_short_map(self):
         with pytest.raises(DimensionError, match="codomain euclid:3 has dim 3"):
             independent_numeric_check(E2, E3, affine_map([[1, 0], [0, 1]]))
+
+
+# Every catalog space whose metric lies in Q[x], so the prime point route takes it.
+POLYNOMIAL_SPACES = (
+    "euclid:1", "euclid:2", "euclid:3", "semi-euclid:2:-+", "semi-euclid:3:-++",
+    "sphere:2", "sphere:3", "conformal:2:1+x1^2+x2^2", "nil",
+)
+DEFERRED = ("components", "tension_clearing", "energy_density", "energy_clearing", "witness")
+
+
+def _eager(monkeypatch, domain, codomain, phi, **kwargs):
+    """infinity_tension with the prime point route switched off: today's symbolic report."""
+    with monkeypatch.context() as patch:
+        patch.setattr(calculus, "_tension_mod_p", lambda *args: None)
+        return infinity_tension(domain, codomain, phi, **kwargs)
+
+
+def _terms(e):
+    return None if e is None else (e, list(e.terms))
+
+
+class TestPrimePointRoute:
+    def test_each_expanded_component_is_the_residue_times_the_clearing(self):
+        rng = Random(2261)
+        for dlabel in POLYNOMIAL_SPACES:
+            for clabel in POLYNOMIAL_SPACES:
+                dom, cod = build_space(dlabel), build_space(clabel)
+                comps = tuple(random_polynomial(rng, dom.dim, max_deg=2, terms=3) for _ in range(cod.dim))
+                residues = _tension_mod_p(dom, cod, comps)
+                assert residues is not None, (dlabel, clabel)
+                components, clearing, _ = _tension_components(dom, cod, comps)
+                point = _prime_point(dom.dim)[0]
+                at_p = residue(clearing, point, PRIME)
+                for comp, tau in zip(components, residues):
+                    assert residue(comp, point, PRIME) == tau * at_p % PRIME, (dlabel, clabel, comps)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_the_two_routes_agree_on_every_suite(self, monkeypatch, seed):
+        decided = []
+
+        def both(domain, codomain, phi, mode="exact", seed=0):
+            report = infinity_tension(domain, codomain, phi, mode=mode, seed=seed)
+            eager = _eager(monkeypatch, domain, codomain, phi, mode=mode, seed=seed)
+            residues = _tension_mod_p(domain, codomain, _components_of(phi))
+            assert report.verdict == eager.verdict and report.mode == eager.mode
+            on_sol = "sol" in (domain.kind, codomain.kind)
+            if eager.verdict == "nonzero" and eager.mode == "exact" and not on_sol:
+                assert any(residues), (domain.label, codomain.label, phi)
+            if mode == "exact" and any(residues or ()):
+                assert not set(DEFERRED) & set(vars(report))
+                decided.append(report)
+                for name in DEFERRED[:4]:
+                    value, expected = getattr(report, name), getattr(eager, name)
+                    if name == "components":
+                        assert [_terms(c) for c in value] == [_terms(c) for c in expected]
+                    else:
+                        assert _terms(value) == _terms(expected)
+                assert repr(report.witness) == repr(eager.witness)
+            return report
+
+        monkeypatch.setattr(classify, "infinity_tension", both)
+        for tid in classify.THEOREMS:
+            assert classify.run_suite(tid, 10, seed).disagreements == 0, tid
+        assert len(decided) > 50
+
+    def test_a_nonzero_verdict_is_not_expanded_until_read(self, monkeypatch):
+        expansions = []
+        monkeypatch.setattr(
+            calculus, "_tension_components", lambda *a: expansions.append(a) or _tension_components(*a)
+        )
+        rep = infinity_tension(E1, E1, quadratic_map([[[1]]]))
+        assert (rep.verdict, rep.mode, rep.is_harmonic) == ("nonzero", "exact", False)
+        assert expansions == []
+        assert rep.witness.point == (1,)
+        assert len(expansions) == 1
+        assert rep.components[0] == 16 * Expr.coord(1, 0) ** 2 and len(expansions) == 1
+
+    def test_a_witness_error_surfaces_at_the_first_read(self):
+        report = classify.cross_validate(E1, E1, custom_map(1, [parse_expr("x1^2/1000000", 1)]))
+        assert report.direct.verdict == "nonzero"
+        with pytest.raises(UnsupportedExpressionError, match="no witness point found"):
+            report.direct.witness
+        assert report.direct.components == (parse_expr("x1^2/62500000000000000", 1),)
+
+    def test_the_route_falls_through_outside_its_class(self, monkeypatch):
+        square = parse_expr("x1^2", 1)
+        (p1,), _ = _prime_point(1)
+        vanishing = build_conformal(1, parse_expr(f"x1 - {p1}", 1))
+        cases = [
+            (E1, SOL, custom_map(1, [square, Expr.zero(1), Expr.zero(1)])),   # exp in the codomain metric
+            (SOL, E1, custom_map(3, [parse_expr("x1^2", 3)])),                # exp in the domain metric
+            (E1, E1, custom_map(1, [parse_expr("cos(x1)", 1)])),              # trig in the map
+            (E1, E1, custom_map(1, [parse_expr(f"x1^2 + x1^2/{PRIME}", 1)])),  # PRIME divides a denominator
+            (E1, vanishing, custom_map(1, [Expr.coord(1, 0)])),               # the scale vanishes at phi(p)
+        ]
+        for dom, cod, spec in cases:
+            assert _tension_mod_p(dom, cod, _components_of(spec)) is None
+            rep = infinity_tension(dom, cod, spec)
+            assert rep.verdict == "nonzero" and "components" in vars(rep)
+        rep = infinity_tension(E1, E1, quadratic_map([[[1]]]), mode="numeric")
+        assert rep.mode == "numeric" and "components" in vars(rep)

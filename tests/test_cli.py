@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from infharm.cli import main
+from infharm.cli import build_parser, main
 from infharm.exprcore import parse_expr
 from infharm.mapspec import parse_mapspec, serialize_mapspec
 
@@ -57,6 +57,14 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == 0
         assert "energy density: 3" in out
+
+    def test_a_nonzero_map_with_no_witness_exits_two(self, tmp_path, capsys):
+        # The tension 16/10^18 x1^2 is below the witness threshold at every candidate.
+        tiny = write_map(tmp_path, "tiny.json", {"kind": "custom", "m": 1, "components": ["x1^2/1000000"]})
+        code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", tiny])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "no witness point found" in captured.err
 
     def test_unknown_space_exit_two(self, trig_map, capsys):
         code = main(["check", "--domain", "nope", "--codomain", "euclid:2", "--map", trig_map])
@@ -332,3 +340,21 @@ class TestSpacesCommand:
         assert code == 0
         for label in ("euclid", "sphere", "nil", "sol"):
             assert label in out
+
+
+class TestParser:
+    def test_main_reuses_one_parser(self, capsys):
+        parser = build_parser()
+        before = build_parser.cache_info()
+        assert main(["spaces"]) == 0 and main(["spaces"]) == 0
+        after = build_parser.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        assert build_parser() is parser
+
+    def test_a_malformed_argv_after_a_good_call_exits_two(self, capsys):
+        assert main(["spaces"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--domain", "euclid:1"])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        assert main(["spaces"]) == 0

@@ -19,9 +19,11 @@ from infharm.exprcore import (
     evaluate_float,
     exp_of,
     is_zero,
+    jet_residues,
     max_term_magnitude,
     parse_expr,
     partial_derivative,
+    residue,
     sin_of,
     substitute,
     to_string,
@@ -235,6 +237,42 @@ class TestInvariants:
             for mono, coeff in e.terms.items():
                 rebuilt = rebuilt + Expr(n, {mono: coeff})
             assert rebuilt == e
+
+
+class TestResidues:
+    Q = 2**61 - 1
+
+    def test_residue_is_the_exact_value_mod_the_prime(self):
+        rng = Random(877)
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            e = random_polynomial(rng, m, max_deg=4, terms=5)
+            point = [rng.randint(-9, 9) for _ in range(m)]
+            value = evaluate_exact(e, point)
+            expected = value.numerator * pow(value.denominator, -1, self.Q) % self.Q
+            assert residue(e, [x % self.Q for x in point], self.Q) == expected
+
+    def test_jet_is_the_residues_of_the_derivatives(self):
+        rng = Random(878)
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            e = random_polynomial(rng, m, max_deg=5, terms=5)
+            point = [rng.randrange(1, self.Q) for _ in range(m)]
+            inverses = [pow(x, -1, self.Q) for x in point]
+            value, grad, hess = jet_residues(e, point, inverses, self.Q)
+            assert value == residue(e, point, self.Q)
+            for i in range(m):
+                di = partial_derivative(e, i)
+                assert grad[i] == residue(di, point, self.Q)
+                assert hess[i] == [residue(partial_derivative(di, j), point, self.Q) for j in range(m)]
+
+    def test_outside_the_ring_there_is_no_residue(self):
+        q = self.Q
+        for text in ("exp(x1) + 1", "cos(x1)*x1", f"x1/{q}", f"1/{3 * q}"):
+            e = parse_expr(text, 1)
+            assert residue(e, [2], q) is None and jet_residues(e, [2], [pow(2, -1, q)], q) is None
+        assert residue(parse_expr(f"x1 + x1/{q}", 1), [2], q) is None
+        assert residue(parse_expr(f"{q}*x1/7", 1), [2], q) == 0
 
 
 class TestRendering:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from infharm.exprcore import Expr, exp_of, is_zero, partial_derivative, to_string
-from infharm.spaces import SpaceError, build_conformal, build_space, christoffel
+from infharm.spaces import SpaceError, build_conformal, build_euclidean, build_space, christoffel
 
 ALL_LABELS = [
     "euclid:1",
@@ -27,6 +27,13 @@ def test_euclidean_identity_metric():
             expected = Expr.const(3, 1 if i == j else 0)
             assert sp.g_lower[i][j] == expected
             assert sp.g_upper[i][j] == expected
+
+
+def test_euclidean_spaces_are_built_once_per_dimension():
+    # The suites build R^m per trial; one instance keeps one connection and one set of metric caches.
+    assert build_euclidean(4) is build_euclidean(4) is build_space("euclid:4")
+    with pytest.raises(SpaceError):
+        build_euclidean(0)
 
 
 def test_nil_metric_components():
