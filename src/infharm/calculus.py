@@ -44,10 +44,10 @@ Schwartz 1980, Zippel 1979); a zero residue costs only time, because the
 symbolic route then decides as before.  That route runs unchanged when the
 residue is 0, when a map component or a metric entry has exp or trig terms
 (every Sol pair), when P divides a denominator, when the codomain scale
-vanishes mod P at phi(p), and in numeric mode.  A report that the point
-route decided computes its tension, energy and witness when a caller first
-reads them, by ``_tension_components`` and ``_find_witness``, so every
-printed report is the same as the eager one.
+vanishes mod P at phi(p), and in numeric mode.  A ``TensionReport``
+computes a field that its builder did not pass in when it is first read, so
+a report that the point route decided expands its tension only then, and
+every printed report is the same as an eager one.
 """
 
 from __future__ import annotations
@@ -115,61 +115,44 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
 class TensionReport:
     """The verdict on a map, with the expanded tension behind it.
 
-    A "nonzero" exact report that the prime point route decided is deferred:
-    ``components``, ``tension_clearing``, ``energy_density``,
-    ``energy_clearing`` and ``witness`` are computed when one of them is
-    first read, by ``_tension_components`` and ``_find_witness``, and an
-    error of either surfaces at that read.
+    ``TensionReport(verdict, mode, (domain, codomain, comps), **known)``
+    takes whichever of the five fields its builder already has: the cleared
+    tension ``components`` and their ``tension_clearing``, the cleared
+    ``energy_density`` and its ``energy_clearing``, and the ``witness`` of a
+    "nonzero" verdict.  Each field is a ``functools.cached_property``, so one
+    that was not passed in is computed when it is first read, the first four
+    by one ``_tension_components`` call and the witness by ``_find_witness``,
+    and an error of either surfaces at that read.  A report of the numeric
+    fallback passes all five, with None for the first four.
     """
 
-    energy_density: Expr | None           # cleared numerator; None in numeric-only mode
-    energy_clearing: Expr | None
-    components: tuple[Expr, ...] | None   # cleared tension components
-    tension_clearing: Expr | None
-    verdict: str                          # "zero" | "nonzero"
-    witness: Witness | None
-    mode: str                             # "exact" | "numeric"
+    def __init__(self, verdict: str, mode: str, source: tuple, **known):
+        for name in known:
+            if name.startswith("_") or type(vars(TensionReport).get(name)) is not functools.cached_property:
+                raise TypeError(f"TensionReport has no field {name!r}")
+        self.verdict = verdict    # "zero" | "nonzero"
+        self.mode = mode          # "exact" | "numeric"
+        self._source = source
+        vars(self).update(known)
 
     @property
     def is_harmonic(self) -> bool:
         return self.verdict == "zero"
 
-    @classmethod
-    def _deferred(
-        cls, domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...]
-    ) -> "TensionReport":
-        """An exact "nonzero" report whose other five fields are computed on first read."""
-        report = object.__new__(cls)
-        object.__setattr__(report, "verdict", "nonzero")
-        object.__setattr__(report, "mode", "exact")
-        object.__setattr__(report, "_source", (domain, codomain, comps))
-        return report
+    _expansion = functools.cached_property(lambda self: _tension_components(*self._source))
+    components = functools.cached_property(lambda self: self._expansion[0])
+    tension_clearing = functools.cached_property(lambda self: self._expansion[1])
+    energy_density = functools.cached_property(lambda self: self._expansion[2].num)
+    energy_clearing = functools.cached_property(lambda self: self._expansion[2].clearing)
 
-    def __getattr__(self, name: str):
-        # Reached only for a field that a deferred report has not computed yet.
-        source = self.__dict__.get("_source")
-        if source is None or name not in _DEFERRED_FIELDS:
-            raise AttributeError(name)
-        if name == "witness":
-            values = {"witness": _find_witness(self.components, source[0].dim)}
-        else:
-            components, clearing, energy = _tension_components(*source)
-            values = {
-                "components": components,
-                "tension_clearing": clearing,
-                "energy_density": energy.num,
-                "energy_clearing": energy.clearing,
-            }
-        for field_name, value in values.items():
-            object.__setattr__(self, field_name, value)
-        return values[name]
-
-
-_DEFERRED_FIELDS = ("components", "tension_clearing", "energy_density", "energy_clearing", "witness")
+    @functools.cached_property
+    def witness(self) -> Witness | None:
+        if self.verdict == "zero":
+            return None
+        return _find_witness(self.components, self._source[0].dim)
 
 
 def _components_of(phi) -> tuple[Expr, ...]:
@@ -416,6 +399,7 @@ def _prime_point(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return point, tuple(pow(x, -1, PRIME) for x in point)
 
 
+@functools.cache
 def _prime_metric(space: ModelSpace) -> tuple | None:
     """(entries, g^ij, dg^ij/dx_k) mod PRIME at the space's prime point, once per space.
 
@@ -424,17 +408,14 @@ def _prime_metric(space: ModelSpace) -> tuple | None:
     so the space takes no part in the point route.  Otherwise no derivative
     of an entry has either defect, and every residue the route takes exists.
     """
-    cache = space._numeric_cache
-    if "prime" not in cache:
-        point = _prime_point(space.dim)[0]
-        metric = (space.lower_scale, *(e for row in (*space.g_lower, *space.g_upper) for e in row))
-        cache["prime"] = None
-        if all(residue(e, point, PRIME) is not None for e in metric):
-            dgu, entries, _ = _domain_metric(space)
-            g = [[residue(e, point, PRIME) for e in row] for row in space.g_upper]
-            dg = [[[residue(e, point, PRIME) for e in col] for col in plane] for plane in dgu]
-            cache["prime"] = (entries, g, dg)
-    return cache["prime"]
+    point = _prime_point(space.dim)[0]
+    metric = (space.lower_scale, *(e for row in (*space.g_lower, *space.g_upper) for e in row))
+    if any(residue(e, point, PRIME) is None for e in metric):
+        return None
+    dgu, entries, _ = _domain_metric(space)
+    g = [[residue(e, point, PRIME) for e in row] for row in space.g_upper]
+    dg = [[[residue(e, point, PRIME) for e in col] for col in plane] for plane in dgu]
+    return entries, g, dg
 
 
 def _tension_mod_p(
@@ -504,10 +485,11 @@ def infinity_tension(
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
     exact = mode == "exact"
-    if exact and any(_tension_mod_p(domain, codomain, comps) or ()):
-        return TensionReport._deferred(domain, codomain, comps)
+    source = (domain, codomain, comps)
+    if exact and any(_tension_mod_p(*source) or ()):
+        return TensionReport("nonzero", "exact", source)
     try:
-        components, clearing, energy = _tension_components(domain, codomain, comps)
+        components, clearing, energy = _tension_components(*source)
     except UnsupportedExpressionError:
         return _numeric_tension_report(domain, codomain, comps, seed)
     if exact:
@@ -515,13 +497,13 @@ def infinity_tension(
     else:
         zero = numeric_zero_check(components, domain.dim, seed=seed)
     return TensionReport(
-        energy_density=energy.num,
-        energy_clearing=energy.clearing,
+        "zero" if zero else "nonzero",
+        "exact" if exact else "numeric",
+        source,
         components=components,
         tension_clearing=clearing,
-        verdict="zero" if zero else "nonzero",
-        witness=None if zero else _find_witness(components, domain.dim),
-        mode="exact" if exact else "numeric",
+        energy_density=energy.num,
+        energy_clearing=energy.clearing,
     )
 
 
@@ -539,21 +521,22 @@ def infinity_tension(
 _STRUCTURAL_BOUND = 2.0 ** 100
 
 
+@functools.cache
 def _domain_metric(space: ModelSpace) -> tuple:
     """(dg^ij/dx_k, the entries (i, j) and the slopes (i, j, k) not structurally zero), once per space.
 
-    A slope (i, j, k) is an entry whose dg^ij/dx_k is not the zero ``Expr``.
+    An entry is an (i, j) whose g^ij is not the zero ``Expr``, which has
+    only zero derivatives, and a slope (i, j, k) is an entry whose
+    dg^ij/dx_k is not.
     """
-    cache = space._numeric_cache
-    if "domain" not in cache:
-        m, gu = space.dim, space.g_upper
-        dgu = [[[partial_derivative(gu[i][j], k) for k in range(m)] for j in range(m)] for i in range(m)]
-        entries = tuple((i, j) for i in range(m) for j in range(m) if gu[i][j] or any(dgu[i][j]))
-        slopes = tuple((i, j, k) for i, j in entries for k in range(m) if dgu[i][j][k])
-        cache["domain"] = (dgu, entries, slopes)
-    return cache["domain"]
+    m, gu = space.dim, space.g_upper
+    dgu = [[[partial_derivative(gu[i][j], k) for k in range(m)] for j in range(m)] for i in range(m)]
+    entries = tuple((i, j) for i in range(m) for j in range(m) if gu[i][j])
+    slopes = tuple((i, j, k) for i, j in entries for k in range(m) if dgu[i][j][k])
+    return dgu, entries, slopes
 
 
+@functools.cache
 def _codomain_metric(space: ModelSpace) -> tuple:
     """(dh_ab/dy_g, d(scale)/dy_g, the nonzero pairs, their chains, the metric program), once per space.
 
@@ -562,20 +545,17 @@ def _codomain_metric(space: ModelSpace) -> tuple:
     derivatives, and then per pair h_ab and its derivatives, in the order
     ``NumericTension`` reads them.
     """
-    cache = space._numeric_cache
-    if "codomain" not in cache:
-        n, gl = space.dim, space.g_lower
-        dh = [[[partial_derivative(gl[a][b], g) for g in range(n)] for b in range(n)] for a in range(n)]
-        dscale = [partial_derivative(space.lower_scale, g) for g in range(n)]
-        pairs = tuple((a, b) for a in range(n) for b in range(n) if gl[a][b])
-        chains = tuple(tuple(g for g in range(n) if dh[a][b][g] or dscale[g]) for a, b in pairs)
-        program = FloatProgram(n, [
-            space.lower_scale,
-            *dscale,
-            *(e for a, b in pairs for e in (gl[a][b], *dh[a][b])),
-        ])
-        cache["codomain"] = (dh, dscale, pairs, chains, program)
-    return cache["codomain"]
+    n, gl = space.dim, space.g_lower
+    dh = [[[partial_derivative(gl[a][b], g) for g in range(n)] for b in range(n)] for a in range(n)]
+    dscale = [partial_derivative(space.lower_scale, g) for g in range(n)]
+    pairs = tuple((a, b) for a in range(n) for b in range(n) if gl[a][b])
+    chains = tuple(tuple(g for g in range(n) if dh[a][b][g] or dscale[g]) for a, b in pairs)
+    program = FloatProgram(n, [
+        space.lower_scale,
+        *dscale,
+        *(e for a, b in pairs for e in (gl[a][b], *dh[a][b])),
+    ])
+    return dh, dscale, pairs, chains, program
 
 
 class NumericTension:
@@ -885,13 +865,14 @@ def _numeric_tension_report(
             " tension value is finite"
         )
     return TensionReport(
-        energy_density=None,
-        energy_clearing=None,
+        "zero" if zero else "nonzero",
+        "numeric",
+        (domain, codomain, comps),
         components=None,
         tension_clearing=None,
-        verdict="zero" if zero else "nonzero",
+        energy_density=None,
+        energy_clearing=None,
         witness=None if zero else Witness(point=worst_point, component=worst_comp, value=worst_val),
-        mode="numeric",
     )
 
 
@@ -1002,18 +983,17 @@ def _fd4(far, near, back, far_back, h: float) -> list[float]:
     ]
 
 
-def fd_p_tension(
-    comps: Sequence[Expr], p: int, point: Sequence[float], h: float = 1e-2
-) -> list[float]:
+def fd_p_tension(comps: Sequence[Expr], p: int, point: Sequence[float]) -> list[float]:
     """Finite-difference p-tension of a Euclidean-to-Euclidean map.
 
     Computes sum_i d_i(W^{(p-2)/2} d_i phi^g) with all derivatives taken by
-    fourth-order central differences on float evaluations of the components;
-    independent of the symbolic differentiation path.  The divergence needs
-    the flux at 4m points around ``point``, and each flux needs the gradient
-    from 4m points around it; all 16 m^2 points are evaluated in one batch.
+    fourth-order central differences of step 1e-2 on float evaluations of
+    the components; independent of the symbolic differentiation path.  The
+    divergence needs the flux at 4m points around ``point``, and each flux
+    needs the gradient from 4m points around it; all 16 m^2 points are
+    evaluated in one batch.
     """
-    m = comps[0].nvars
+    m, h = comps[0].nvars, 1e-2
     outer = [y for i in range(m) for y in _fd4_stencil(point, i, h)]
     inner = [z for y in outer for j in range(m) for z in _fd4_stencil(y, j, h)]
     values = list(zip(*FloatProgram(m, comps).at_float_points(inner, magnitudes=False)[0]))

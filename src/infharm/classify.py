@@ -854,12 +854,12 @@ def _suite_phm(trial: int, rng: Random, seed: int):
     a = rand_matrix(rng, n, m, 0.4)
     b = [rand_rational(rng) for _ in range(n)]
     spec = quadratic_map(quads, a, b)
+    comps = materialize(spec)
     dom, cod = build_euclidean(m), build_euclidean(n)
-    div_form, _ = p_tension(dom, cod, spec, 4)
-    composed, _ = phm_composed_p_tension(dom, cod, spec, 4)
+    div_form, _ = p_tension(dom, cod, comps, 4)
+    composed, _ = phm_composed_p_tension(dom, cod, comps, 4)
     ok = all(is_zero(x - y) for x, y in zip(div_form, composed))
     if ok:
-        comps = materialize(spec)
         points = sample_points(m, 5, _child_seed(seed, f"PHM:{trial}"))
         sym_values = zip(*FloatProgram(m, div_form).at_points(points, magnitudes=False)[0])
         for pt, sym_at_pt in zip(points, sym_values):
@@ -882,11 +882,11 @@ _LEM11_SPACES = (
 )
 
 
-def _random_poly(rng: Random, nvars: int, max_deg: int = 3, terms: int = 4) -> Expr:
+def _random_poly(rng: Random, nvars: int) -> Expr:
     total = Expr.zero(nvars)
-    for _ in range(terms):
+    for _ in range(4):
         t = Expr.const(nvars, rand_rational(rng, 4, 4))
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(0, 3)):
             t = t * Expr.coord(nvars, rng.randrange(nvars))
         total = total + t
     return total

@@ -28,7 +28,7 @@ from .classify import (
 from .exprcore import DimensionError, ExprParseError, UnsupportedExpressionError, to_string
 from .mapspec import (
     MapSpecError,
-    map_digest,
+    _digest,
     pad_components,
     parse_mapspec,
     serialize_mapspec,
@@ -62,13 +62,13 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_map(path: str, codomain=None, pad: bool = False):
+def _load_map(path: str, codomain, pad: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = parse_mapspec(fh.read())
     except OSError as exc:
         raise MapSpecError("$", f"cannot read {path}: {exc}") from None
-    if pad and codomain is not None:
+    if pad:
         spec = pad_components(spec, codomain.dim)
     return spec
 
@@ -84,8 +84,8 @@ def _map_report(args, names):
         "domain": domain.label,
         "codomain": codomain.label,
         "map": serialize_mapspec(spec),
-        "map_digest": map_digest(spec),
     }
+    doc["map_digest"] = _digest(doc["map"])
     return domain, codomain, spec, doc
 
 

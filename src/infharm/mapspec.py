@@ -23,6 +23,7 @@ than silently symmetrized.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -466,7 +467,10 @@ def serialize_mapspec(spec: MapSpec) -> dict:
 
 
 def map_digest(spec: MapSpec) -> str:
-    import hashlib
+    return _digest(serialize_mapspec(spec))
 
-    blob = json.dumps(serialize_mapspec(spec), sort_keys=True).encode()
+
+def _digest(document: dict) -> str:
+    """The digest of a map from its ``serialize_mapspec`` document."""
+    blob = json.dumps(document, sort_keys=True).encode()
     return "sha256:" + hashlib.sha256(blob).hexdigest()[:16]

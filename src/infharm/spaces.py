@@ -22,12 +22,17 @@ sol               R^3 with e^{2z} dx^2 + e^{-2z} dy^2 + dz^2
 Every builder sets ``ModelSpace.kind`` to the family name above: "euclid",
 "semi-euclid", "sphere", "conformal", "nil" or "sol".  Predictors dispatch
 on that field, never on the label string.
+
+A space holds its metric only.  It compares and hashes by identity, so each
+table derived from the metric (``christoffel`` here, and the tables that
+``calculus`` evaluates with) is a ``functools.cache`` function keyed by the
+space object: computed once per space, and kept for the life of the process.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exprcore import (
@@ -45,8 +50,10 @@ class SpaceError(ValueError):
     """Unknown label or ill-formed space construction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpace:
+    """A chart's metric; equal only to itself, so caches key on the space object."""
+
     label: str
     kind: str                  # catalog family, see the module docstring
     dim: int
@@ -55,9 +62,6 @@ class ModelSpace:
     lower_scale: Expr
     signature: tuple[int, ...]
     conformal_factor: Expr | None = None
-    _christoffel_cache: list = field(default_factory=list, compare=False, repr=False)
-    # Evaluation data that depends only on the space, filled by calculus.
-    _numeric_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def is_conformal(self) -> bool:
@@ -221,9 +225,8 @@ def build_sol() -> ModelSpace:
 def build_space(label: str) -> ModelSpace:
     """Build a catalog space from its label string.
 
-    Memoised per label string: a ``ModelSpace`` is frozen and caches its own
-    connection, so a repeated label returns the same instance and reuses its
-    Christoffel table.  A bad label is not cached; it raises every time.
+    Memoised per label string: a repeated label returns the same instance,
+    and so every table cached for it.  A bad label raises every time.
     """
     parts = label.strip().split(":")
     kind = parts[0].lower()
@@ -266,8 +269,9 @@ CATALOG_EXAMPLES = (
 )
 
 
+@functools.cache
 def christoffel(space: ModelSpace) -> ChristoffelTable:
-    """Levi-Civita connection coefficients, cached per space instance.
+    """Levi-Civita connection coefficients, computed once per space.
 
     Conformal spaces use the closed form
     ``gamma^k_ij = -(F_i d_jk + F_j d_ik - F_k d_ij)`` with ``scale = F``;
@@ -275,8 +279,6 @@ def christoffel(space: ModelSpace) -> ChristoffelTable:
     ``Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)``, summed over
     the nonzero inverse-metric entries only.
     """
-    if space._christoffel_cache:
-        return space._christoffel_cache[0]
     dim = space.dim
     if space.is_conformal:
         f = space.conformal_factor
@@ -296,28 +298,24 @@ def christoffel(space: ModelSpace) -> ChristoffelTable:
             )
             for k in range(dim)
         )
-        table = ChristoffelTable(gamma=gamma, scale=f)
-    else:
-        dg = [
-            [[partial_derivative(space.g_lower[i][j], k) for j in range(dim)] for i in range(dim)]
-            for k in range(dim)
-        ]
-        half = Fraction(1, 2)
-        gamma_rows = []
-        for k in range(dim):
-            rows = []
-            for i in range(dim):
-                row = []
-                for j in range(dim):
-                    total = Expr.zero(dim)
-                    for l in range(dim):
-                        gkl = space.g_upper[k][l]
-                        if gkl:
-                            total = total + gkl * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    row.append(total * half)
-                rows.append(tuple(row))
-            gamma_rows.append(tuple(rows))
-        gamma = tuple(gamma_rows)
-        table = ChristoffelTable(gamma=gamma, scale=Expr.const(dim, 1))
-    space._christoffel_cache.append(table)
-    return table
+        return ChristoffelTable(gamma=gamma, scale=f)
+    dg = [
+        [[partial_derivative(space.g_lower[i][j], k) for j in range(dim)] for i in range(dim)]
+        for k in range(dim)
+    ]
+    half = Fraction(1, 2)
+    gamma_rows = []
+    for k in range(dim):
+        rows = []
+        for i in range(dim):
+            row = []
+            for j in range(dim):
+                total = Expr.zero(dim)
+                for l in range(dim):
+                    gkl = space.g_upper[k][l]
+                    if gkl:
+                        total = total + gkl * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                row.append(total * half)
+            rows.append(tuple(row))
+        gamma_rows.append(tuple(rows))
+    return ChristoffelTable(gamma=tuple(gamma_rows), scale=Expr.const(dim, 1))
