@@ -2,8 +2,9 @@
 
 Each (map family, space pair) listed in COVERAGE has a predictor that
 evaluates the classifying algebraic criterion exactly on the map's rational
-data; the cross-validator compares the prediction against the direct
-symbolic tension computation.  Campaigns draw seeded random maps and report
+data, read from its validated MapSpec; `predict` is the one path to them.
+The cross-validator compares the prediction against the direct symbolic
+tension computation.  Campaigns draw seeded random maps and report
 disagreements, so a nonempty counterexample list always points at a defect
 (in the criterion, the calculus, or the sampler).
 
@@ -159,7 +160,7 @@ def rand_rational(rng: Random, num: int = 8, den: int = 8) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
-def rand_matrix(rng: Random, n: int, m: int, zero_prob: float = 0.25) -> RatMatrix:
+def rand_matrix(rng: Random, n: int, m: int, zero_prob: float) -> RatMatrix:
     return tuple(
         tuple(
             Fraction(0) if rng.random() < zero_prob else rand_rational(rng)
@@ -262,9 +263,9 @@ _LINE_NAMES = {
 }
 
 
-def _predict_nil_sol(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
+def _predict_nil_sol(domain: ModelSpace, codomain: ModelSpace, spec: MapSpec) -> Verdict:
     tag, pattern, routes = NIL_SOL_PATTERNS[domain.kind, codomain.kind]
-    lines = mat_transpose(A) if pattern == "projection" else A
+    lines = mat_transpose(spec.A) if pattern == "projection" else spec.A
     used = sorted({k for zero, _ in routes for k in zero})
     det = {_LINE_NAMES[pattern][k]: [str(v) for v in lines[k]] for k in used}
     for zero, route in routes:
@@ -299,17 +300,17 @@ def conformal_linear_residuals(
     return out
 
 
-def _predict_conformal(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
-    residuals = conformal_linear_residuals(domain, codomain, A, b)
+def _predict_conformal(domain: ModelSpace, codomain: ModelSpace, spec: MapSpec) -> Verdict:
+    residuals = conformal_linear_residuals(domain, codomain, spec.A, spec.b)
     ok = all(is_zero(r) for r in residuals)
     named = {f"criterion[{i}]": not is_zero(r) for i, r in enumerate(residuals)}
     return Verdict(harmonic=ok, tag="Unconstrained", residuals={} if ok else named)
 
 
-def _predict_isometric_immersion(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
-    if any(v != 0 for v in b):
+def _predict_isometric_immersion(domain: ModelSpace, codomain: ModelSpace, spec: MapSpec) -> Verdict:
+    if any(v != 0 for v in spec.b):
         raise UnsupportedPairError("sphere-to-sphere prediction covers linear maps (b = 0) only")
-    residual = mat_sub(mat_mul(mat_transpose(A), A), mat_identity(domain.dim))
+    residual = mat_sub(mat_mul(mat_transpose(spec.A), spec.A), mat_identity(domain.dim))
     if mat_is_zero(residual):
         return Verdict(True, "IsometricImmersion", {})
     return Verdict(
@@ -319,50 +320,32 @@ def _predict_isometric_immersion(domain: ModelSpace, codomain: ModelSpace, A: Ra
     )
 
 
-def _predict_constant_only(domain: ModelSpace, codomain: ModelSpace, A: RatMatrix, b) -> Verdict:
-    return Verdict(False, "ConstantMap", {"A": [[str(v) for v in row] for row in A]})
+def _predict_constant_only(domain: ModelSpace, codomain: ModelSpace, spec: MapSpec) -> Verdict:
+    return Verdict(False, "ConstantMap", {"A": [[str(v) for v in row] for row in spec.A]})
 
 
 def predict_linear(domain: ModelSpace, codomain: ModelSpace, A, b=None) -> Verdict:
     """Theorem criterion for an affine map A X + b between covered spaces."""
-    A = tuple(tuple(Fraction(v) for v in row) for row in A)
-    n, m = len(A), len(A[0]) if A else 0
-    if n != codomain.dim or m != domain.dim:
-        raise UnsupportedPairError(
-            f"matrix is {n}x{m}, pair is {domain.label} -> {codomain.label}"
-        )
-    bvec = tuple(Fraction(v) for v in b) if b is not None else (Fraction(0),) * n
-    if mat_is_zero(A):
-        return Verdict(harmonic=True, tag="ConstantMap", residuals={})
-    return _predictor("linear", domain, codomain)(domain, codomain, A, bvec)
+    return predict(domain, codomain, affine_map(A, b))
 
 
-def _quadratic_then_linear(domain: ModelSpace, codomain: ModelSpace, quads, A, b) -> Verdict:
+def _quadratic_then_linear(domain: ModelSpace, codomain: ModelSpace, spec: MapSpec) -> Verdict:
     """L2.1: the quadratic part must vanish outright; the linear predictor decides the rest."""
-    check = matrix_lemma_condition(quads)
+    check = matrix_lemma_condition(spec.quad)
     if not check.all_zero:
         return Verdict(
             False,
             "AffineOnly",
             {"anticommutators_nonzero": not check.holds, "quadratic_nonzero": True},
         )
-    if A is None:
-        A = tuple((0,) * domain.dim for _ in range(codomain.dim))
-    return predict_linear(domain, codomain, A, b)
+    return predict(domain, codomain, affine_map(spec.A, spec.b))
 
 
 def predict_quadratic(
     domain: ModelSpace, codomain: ModelSpace, quads, A=None, b=None
 ) -> Verdict:
     """Quadratic-family criterion for the pair's COVERAGE entry."""
-    predictor = _predictor("quadratic", domain, codomain)
-    quads = tuple(tuple(tuple(Fraction(v) for v in row) for row in q) for q in quads)
-    if len(quads) != codomain.dim or (quads and len(quads[0]) != domain.dim):
-        raise UnsupportedPairError(
-            f"{len(quads)} quadratic forms of size {len(quads[0]) if quads else 0},"
-            f" pair is {domain.label} -> {codomain.label}"
-        )
-    return predictor(domain, codomain, quads, A, b)
+    return predict(domain, codomain, quadratic_map(quads, A, b))
 
 
 def predict_holomorphic(cmap: ComplexPolyMap) -> Verdict:
@@ -425,14 +408,14 @@ _CONFORMAL_KINDS = ("euclid", "sphere", "conformal")
 _EUCLID_SPHERE = (("euclid", "sphere"), ("sphere", "euclid"))
 
 # The one record of which pairs each family's predictor covers: family (the
-# `search --family` names) -> {(domain kind, codomain kind): predictor}.  A
-# linear predictor takes (domain, codomain, A, b) with A nonzero, a quadratic
-# one (domain, codomain, quads, A, b), a holomorphic one the complex map.
+# `search --family` names) -> {(domain kind, codomain kind): predictor}.  Every
+# predictor takes (domain, codomain, spec) with the spec's dimensions those of
+# the pair; a linear one sees a nonzero A only.
 COVERAGE = {
     "linear": {
         # L3.1 on every conformally flat pair, then the sharper statements
         **{(d, c): _predict_conformal for d in _CONFORMAL_KINDS for c in _CONFORMAL_KINDS},
-        ("euclid", "euclid"): lambda domain, codomain, A, b: Verdict(True, "AffineOnly", {}),
+        ("euclid", "euclid"): lambda domain, codomain, spec: Verdict(True, "AffineOnly", {}),
         ("sphere", "sphere"): _predict_isometric_immersion,
         **dict.fromkeys(_EUCLID_SPHERE, _predict_constant_only),
         **dict.fromkeys(NIL_SOL_PATTERNS, _predict_nil_sol),
@@ -445,7 +428,9 @@ COVERAGE = {
         ("sphere", "euclid"): _quadratic_then_linear,
     },
     # the criterion is Euclidean: realification gives a map R^2m -> R^2n
-    "holomorphic": {("euclid", "euclid"): predict_holomorphic},
+    "holomorphic": {
+        ("euclid", "euclid"): lambda domain, codomain, spec: predict_holomorphic(spec.complex_map),
+    },
 }
 
 
@@ -456,14 +441,24 @@ def _predictor(family: str, domain: ModelSpace, codomain: ModelSpace):
     return predictor
 
 
+# map kind -> the COVERAGE family that decides it
+_FAMILIES = {"affine": "linear", "quadratic": "quadratic", "holomorphic": "holomorphic"}
+
+
 def predict(domain: ModelSpace, codomain: ModelSpace, spec: MapSpec) -> Verdict:
-    if spec.kind == "affine":
-        return predict_linear(domain, codomain, spec.A, spec.b)
-    if spec.kind == "quadratic":
-        return predict_quadratic(domain, codomain, spec.quad, spec.A, spec.b)
-    if spec.kind == "holomorphic":
-        return _predictor("holomorphic", domain, codomain)(spec.complex_map)
-    raise UnsupportedPairError(f"no predictor for map kind {spec.kind!r}")
+    """The COVERAGE criterion for the pair, on the map's validated data."""
+    family = _FAMILIES.get(spec.kind)
+    if family is None:
+        raise UnsupportedPairError(f"no predictor for map kind {spec.kind!r}")
+    if (spec.domain_dim, spec.codomain_dim) != (domain.dim, codomain.dim):
+        raise UnsupportedPairError(
+            f"map is R^{spec.domain_dim} -> R^{spec.codomain_dim},"
+            f" pair is {domain.label} -> {codomain.label}"
+        )
+    # a zero matrix is a constant map, harmonic on every pair, covered or not
+    if family == "linear" and mat_is_zero(spec.A):
+        return Verdict(harmonic=True, tag="ConstantMap", residuals={})
+    return _predictor(family, domain, codomain)(domain, codomain, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +701,7 @@ def _suite_l31(trial: int, rng: Random, seed: int):
     dom, cod = build_space(dlabel), build_space(clabel)
     a = rand_matrix(rng, cod.dim, dom.dim, zero_prob=0.5 if trial % 2 else 1.0)
     spec = affine_map(a)
-    lemma_harmonic = mat_is_zero(spec.A) or _predict_conformal(dom, cod, spec.A, spec.b).harmonic
+    lemma_harmonic = mat_is_zero(spec.A) or _predict_conformal(dom, cod, spec).harmonic
     direct = infinity_tension(dom, cod, spec, seed=_child_seed(seed, f"L3.1:{trial}"))
     ok = lemma_harmonic == direct.is_harmonic
     if ok and direct.verdict == "zero" and direct.components is not None:
@@ -929,9 +924,6 @@ THEOREMS = {
     "PHM": ("p-tension identity at p=4 against divergence form and finite differences", _suite_phm),
     "LEM1.1": ("scalar operator consistency: inner-product, coordinate, Hessian forms", _suite_lem11),
 }
-
-SUITE_ALL = tuple(THEOREMS)
-
 
 # The failing trials a suite result lists in full; the rest are only counted.
 MAX_FAILURES = 5

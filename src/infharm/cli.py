@@ -18,7 +18,6 @@ import time
 
 from .calculus import energy_density, infinity_tension
 from .classify import (
-    SUITE_ALL,
     THEOREMS,
     UnsupportedPairError,
     cross_validate,
@@ -195,7 +194,7 @@ def cmd_suite(args) -> int:
     started = time.monotonic()
     seed = _resolve_seed(args)
     if args.theorem == "all":
-        ids = list(SUITE_ALL)
+        ids = list(THEOREMS)
     else:
         ids = [t.strip() for t in args.theorem.split(",") if t.strip()]
         if not ids:

@@ -375,8 +375,14 @@ def _rat_matrix(rows, path: str) -> RatMatrix:
     for ri, row in enumerate(rows):
         if len(row) != width:
             raise MapSpecError(f"{path}[{ri}]", f"expected {width} entries, got {len(row)}")
-        out.append(tuple(_rat(v, f"{path}[{ri}][{ci}]") for ci, v in enumerate(row)))
+        out.append(_rat_vector(row, f"{path}[{ri}]"))
     return tuple(out)
+
+
+def _rat_vector(values, path: str) -> RatVector:
+    if not isinstance(values, list):
+        raise MapSpecError(path, "expected a list of entries")
+    return tuple(_rat(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def parse_mapspec(document) -> MapSpec:
@@ -392,7 +398,7 @@ def parse_mapspec(document) -> MapSpec:
     try:
         if kind == "affine":
             A = _rat_matrix(document["A"], "A")
-            b = [_rat(v, f"b[{i}]") for i, v in enumerate(document["b"])] if "b" in document else None
+            b = _rat_vector(document["b"], "b") if "b" in document else None
             return affine_map(A, b)
         if kind == "quadratic":
             quads = document["quad"]
@@ -400,7 +406,7 @@ def parse_mapspec(document) -> MapSpec:
                 raise MapSpecError("quad", "expected a nonempty list of matrices")
             qs = [_rat_matrix(q, f"quad[{qi}]") for qi, q in enumerate(quads)]
             A = _rat_matrix(document["A"], "A") if "A" in document else None
-            b = [_rat(v, f"b[{i}]") for i, v in enumerate(document["b"])] if "b" in document else None
+            b = _rat_vector(document["b"], "b") if "b" in document else None
             return quadratic_map(qs, A, b)
         if kind == "custom":
             m = document.get("m")

@@ -31,6 +31,7 @@ from infharm.classify import (
 from infharm.exprcore import is_zero
 from infharm.mapspec import (
     ComplexPolyMap,
+    MapSpecError,
     affine_map,
     holomorphic_map,
     parse_cpoly,
@@ -130,6 +131,12 @@ class TestLinearPredictors:
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPairError):
             predict_linear(NIL, SOL, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_raw_input_is_validated_by_mapspec(self):
+        with pytest.raises(MapSpecError, match="^A: ragged matrix$"):
+            predict_linear(E2, E2, [[1, 2], [3]])
+        with pytest.raises(MapSpecError, match=r"^quad\[0\]: matrix is not symmetric"):
+            predict_quadratic(E2, E1, [[[0, 1], [0, 0]]])
 
 
 class TestQuadraticPredictors:
@@ -338,8 +345,8 @@ class TestFalsifySearch:
     def test_one_coverage_entry_covers_a_pair(self, monkeypatch):
         seen = []
 
-        def stub(domain, codomain, quads, A, b):
-            seen.append((domain.label, codomain.label, len(quads)))
+        def stub(domain, codomain, spec):
+            seen.append((domain.label, codomain.label, len(spec.quad)))
             return classify.Verdict(False, "Stub", {})
 
         with pytest.raises(UnsupportedPairError):
@@ -372,6 +379,22 @@ class TestSuites:
 
     def test_determinism(self):
         assert run_suite("T5.1", 30, seed=9) == run_suite("T5.1", 30, seed=9)
+
+    def test_disagreements_are_counted_and_the_first_listed(self, monkeypatch):
+        # a predictor that calls every quadratic map harmonic is wrong on each
+        # odd trial of T2.2, whose even trials draw the zero map
+        monkeypatch.setitem(
+            classify.COVERAGE["quadratic"], ("euclid", "euclid"),
+            lambda domain, codomain, spec: classify.Verdict(True, "Stub", {}),
+        )
+        res = run_suite("T2.2", 12, 0)
+        assert not res.passed
+        assert res.disagreements == 6
+        assert len(res.failures) == classify.MAX_FAILURES
+        assert [f["trial"] for f in res.failures] == [1, 3, 5, 7, 9]
+        for failure in res.failures:
+            assert failure["map"]["kind"] == "quadratic"
+            assert failure["predicted_harmonic"] is True and failure["direct_verdict"] == "nonzero"
 
     def test_sampled_trials_are_pinned(self, monkeypatch):
         # Every map a theorem runner hands to the direct computation, plus the

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from infharm import classify
 from infharm.cli import build_parser, main
 from infharm.exprcore import parse_expr
 from infharm.mapspec import parse_mapspec, serialize_mapspec
@@ -102,6 +103,20 @@ class TestCheck:
         code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", bad])
         assert code == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "affine", "A": [[1, 2]], "b": 5},
+        {"kind": "affine", "A": [[1, 2]], "b": "12"},
+        {"kind": "affine", "A": [[1, 2]], "b": {"a": 1}},
+        {"kind": "affine", "A": [[1, 2]], "b": None},
+        {"kind": "quadratic", "quad": [[[1, 0], [0, 0]]], "b": 5},
+    ])
+    def test_b_that_is_not_a_list_exit_two(self, tmp_path, capsys, doc):
+        bad = write_map(tmp_path, "bad.json", doc)
+        code = main(["check", "--domain", "euclid:2", "--codomain", "euclid:1", "--map", bad])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error: b: expected a list of entries" in captured.err
 
     def test_numeric_fallback_above_the_dimension_cap_exit_two(self, tmp_path, capsys):
         # cos into Sol leaves the decidable class, and the numeric fallback
@@ -229,6 +244,60 @@ class TestReports:
         assert docs[0] == docs[1]
 
 
+class TestTension:
+    def test_harmonic_exit_zero(self, proj_map, capsys):
+        code = main(["tension", "--domain", "nil", "--codomain", "euclid:2", "--map", proj_map])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verdict: zero (exact)" in out
+
+    def test_nonzero_fields_equal_those_of_check(self, tmp_path, square_map, capsys):
+        docs = {}
+        for command in ("tension", "check"):
+            report = tmp_path / f"{command}.json"
+            code = main([command, "--domain", "euclid:1", "--codomain", "euclid:1",
+                         "--map", square_map, "--json", str(report)])
+            assert code == 1
+            docs[command] = json.loads(report.read_text())
+        out = capsys.readouterr().out
+        assert "tension[0] = 16*x1^2\nverdict: nonzero (exact)" in out
+        fields = ("tension_components", "tension_clearing", "verdict", "witness")
+        assert {k: docs["tension"][k] for k in fields} == {k: docs["check"][k] for k in fields}
+        assert docs["tension"]["witness"] is not None
+
+    def test_trig_map_into_sol_is_sampled(self, tmp_path, capsys):
+        path = write_map(tmp_path, "trig.json", {"kind": "custom", "m": 2, "components": ["x1", "x2", "cos(x1)"]})
+        report = tmp_path / "report.json"
+        code = main(["tension", "--domain", "euclid:2", "--codomain", "sol", "--map", path, "--json", str(report)])
+        out = capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert code == 1
+        assert "tension components left the symbolic class; sampled numerically" in out
+        assert doc["tension_components"] is None
+        assert doc["mode"] == "numeric" and doc["verdict"] == "nonzero"
+
+    def test_sphere_codomain_prints_the_clearing(self, tmp_path, capsys):
+        path = write_map(tmp_path, "line.json", {"kind": "affine", "A": [[1]]})
+        code = main(["tension", "--domain", "euclid:1", "--codomain", "sphere:1", "--map", path])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "tension[0] = -x1^3 - x1\n(all divided by 1/16*x1^8 + " in out
+
+    def test_non_integer_ih_seed_exit_two(self, square_map, capsys, monkeypatch):
+        monkeypatch.setenv("IH_SEED", "seven")
+        code = main(["tension", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", square_map])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "IH_SEED must be an integer, got 'seven'" in captured.err
+
+    def test_unreadable_map_exit_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code = main(["tension", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", missing])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: $: cannot read {missing}" in captured.err
+
+
 class TestSuiteCommand:
     def test_single_theorem(self, capsys):
         code = main(["suite", "--theorem", "T6.1", "--trials", "25", "--seed", "42"])
@@ -322,6 +391,30 @@ class TestSearchCommand:
         )
         assert code == 0
         capsys.readouterr()
+
+    def test_counterexamples_are_reported(self, tmp_path, capsys, monkeypatch):
+        # a predictor that calls every quadratic map harmonic is wrong on each nonzero one
+        monkeypatch.setitem(
+            classify.COVERAGE["quadratic"], ("euclid", "euclid"),
+            lambda domain, codomain, spec: classify.Verdict(True, "Stub", {}),
+        )
+        report = tmp_path / "search.json"
+        code = main(
+            ["search", "--family", "quadratic", "--domain", "euclid:2", "--codomain", "euclid:2",
+             "--trials", "10", "--seed", "0", "--json", str(report)]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        entries = json.loads(report.read_text())["counterexamples"]
+        assert code == 1
+        assert lines[0] == f"quadratic euclid:2 -> euclid:2: 10 trials, {len(entries)} counterexamples"
+        assert len(entries) > 3
+        for entry in entries:
+            assert entry["predicted_harmonic"] is True
+            assert entry["direct_verdict"] == "nonzero"
+            assert entry["numeric_ok"] is True
+            witness = entry["witness"]
+            assert len(witness["point"]) == 2 and witness["value"] != 0
+        assert [json.loads(line) for line in lines[1:]] == entries[:3]
 
     def test_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("IH_SEED", "7")
