@@ -27,7 +27,8 @@ purpose are oracles for the first: ``hessian_form`` (Hess u(grad u, grad u),
 which the LEM1.1 suite compares with the infinity-Laplacian), the
 divergence form of ``p_tension`` on Euclidean pairs, ``fd_p_tension``
 (finite differences) and ``NumericTension`` (float assembly without
-symbolic composition).
+symbolic composition), whose one verdict is the numeric fallback's.  Only
+numeric mode samples a "zero" verdict: an exact one has no term to sample.
 
 Verdict first.  In exact mode ``infinity_tension`` first evaluates
 tau^a = g^ij d_i phi^a d_j |dphi|^2 at one fixed point p of F_P^m, with
@@ -376,6 +377,7 @@ def numeric_zero_check(components: Sequence[Expr], nvars: int, seed: int = 0) ->
 
     Tolerance is absolute after normalizing by 1 + |largest monomial| at the
     point, which keeps the test meaningful for large cleared numerators.
+    A value or magnitude that is not finite (inf/inf, nan) fails.
     Structurally zero components evaluate to 0.0 everywhere, so they are
     dropped, and no point is sampled when none is left.
     """
@@ -386,7 +388,7 @@ def numeric_zero_check(components: Sequence[Expr], nvars: int, seed: int = 0) ->
     values, magnitudes = FloatProgram(nvars, live).at_points(points)
     for value_column, magnitude_column in zip(values, magnitudes):
         for val, mag in zip(value_column, magnitude_column):
-            if abs(val) > NUMERIC_TOL * (1.0 + mag):
+            if not (math.isfinite(val) and math.isfinite(mag)) or abs(val) > NUMERIC_TOL * (1.0 + mag):
                 return False
     return True
 
@@ -823,17 +825,10 @@ def _assembly(
 
 
 def independent_numeric_check(domain: ModelSpace, codomain: ModelSpace, phi, seed: int = 0) -> bool:
-    """All numerically assembled tension values stay below NUMERIC_TOL at sample points."""
+    """The numeric fallback's verdict: every ``NumericTension`` value stays below NUMERIC_TOL."""
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
-    points = sample_points(domain.dim, SAMPLE_COUNT, seed)
-    evaluator = NumericTension(domain, codomain, comps, points)
-    for k in range(len(points)):
-        values, scale = evaluator.at(k)
-        for val in values:
-            if abs(val) > NUMERIC_TOL * (1.0 + scale):
-                return False
-    return True
+    return _numeric_tension_report(domain, codomain, comps, seed).is_harmonic
 
 
 def _numeric_tension_report(

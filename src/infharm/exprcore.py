@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, repeat
@@ -118,6 +119,8 @@ def parse_rational(value) -> Fraction:
     """Convert an int or a string ('p/q', integer, or finite decimal) to an exact Fraction.
 
     Floats are rejected: binary floats do not round-trip decimal input exactly.
+    A string whose digits plus decimal exponent exceed the limit of
+    ``sys.get_int_max_str_digits()`` is refused before ``Fraction`` expands it.
     """
     if isinstance(value, bool):
         raise ValueError(f"expected a rational number, got boolean {value!r}")
@@ -126,6 +129,9 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
+        if limit and _rational_size(value) > limit:
+            raise ValueError(f"the value of rational {value[:24]!r} would have more than {limit} digits")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -134,6 +140,16 @@ def parse_rational(value) -> Fraction:
         f"expected int or string rational, got {type(value).__name__} {value!r}"
         " (write decimals and fractions as strings)"
     )
+
+
+def _rational_size(text: str) -> int:
+    """Digits in a rational string plus its decimal exponent: a bound on the digits of its value."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    if not exponent.isdecimal():  # no exponent, or a malformed one that Fraction refuses
+        return digits
+    return digits + (int(exponent) if len(exponent) < 18 else 10**18)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +1022,11 @@ def to_string(e: Expr) -> str:
     """Deterministic canonical rendering (graded order, explicit * and ^)."""
     if not e._nums:
         return "0"
-    return _render_terms(_reduced(e._den, e._nums.items()), {})
+    try:
+        return _render_terms(_reduced(e._den, e._nums.items()), {})
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise UnsupportedExpressionError(f"a coefficient has more than {limit} digits") from None
 
 
 class ExprParseError(ValueError):

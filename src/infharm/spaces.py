@@ -21,7 +21,9 @@ sol               R^3 with e^{2z} dx^2 + e^{-2z} dy^2 + dz^2
 
 Every builder sets ``ModelSpace.kind`` to the family name above: "euclid",
 "semi-euclid", "sphere", "conformal", "nil" or "sol".  Predictors dispatch
-on that field, never on the label string.
+on that field, never on the label string.  One constructor, ``_space``,
+builds every space; ``euclid:m`` and ``sphere:m`` relabel a semi-Euclidean
+and a conformal space.  A label with other parts than above is refused.
 
 A space holds its metric only.  It compares and hashes by identity, so each
 table derived from the metric (``christoffel`` here, and the tables that
@@ -76,13 +78,6 @@ class ChristoffelTable:
     scale: Expr
 
 
-def _identity(dim: int) -> Matrix:
-    return tuple(
-        tuple(Expr.const(dim, 1 if i == j else 0) for j in range(dim))
-        for i in range(dim)
-    )
-
-
 def _diag(entries: list[Expr]) -> Matrix:
     dim = len(entries)
     zero = Expr.zero(dim)
@@ -92,20 +87,17 @@ def _diag(entries: list[Expr]) -> Matrix:
     )
 
 
+def _space(label: str, kind: str, g_lower: Matrix, g_upper: Matrix, **fields) -> ModelSpace:
+    """The one ``ModelSpace`` constructor: unit ``lower_scale`` and all-plus signature by default."""
+    dim = len(g_lower)
+    fields.setdefault("lower_scale", Expr.const(dim, 1))
+    fields.setdefault("signature", (1,) * dim)
+    return ModelSpace(label=label, kind=kind, dim=dim, g_lower=g_lower, g_upper=g_upper, **fields)
+
+
 @functools.cache
 def build_euclidean(dim: int) -> ModelSpace:
-    if dim < 1:
-        raise SpaceError(f"dimension must be >= 1, got {dim}")
-    eye = _identity(dim)
-    return ModelSpace(
-        label=f"euclid:{dim}",
-        kind="euclid",
-        dim=dim,
-        g_lower=eye,
-        g_upper=eye,
-        lower_scale=Expr.const(dim, 1),
-        signature=(1,) * dim,
-    )
+    return replace(build_semi_euclidean(dim, (1,) * dim), label=f"euclid:{dim}", kind="euclid")
 
 
 def build_semi_euclidean(dim: int, signature: tuple[int, ...]) -> ModelSpace:
@@ -115,15 +107,7 @@ def build_semi_euclidean(dim: int, signature: tuple[int, ...]) -> ModelSpace:
         raise SpaceError(f"signature must be {dim} entries of +-1, got {signature}")
     diag = _diag([Expr.const(dim, s) for s in signature])
     signs = "".join("+" if s == 1 else "-" for s in signature)
-    return ModelSpace(
-        label=f"semi-euclid:{dim}:{signs}",
-        kind="semi-euclid",
-        dim=dim,
-        g_lower=diag,
-        g_upper=diag,
-        lower_scale=Expr.const(dim, 1),
-        signature=signature,
-    )
+    return _space(f"semi-euclid:{dim}:{signs}", "semi-euclid", diag, diag, signature=signature)
 
 
 def build_conformal(dim: int, factor: Expr, label: str | None = None) -> ModelSpace:
@@ -138,18 +122,12 @@ def build_conformal(dim: int, factor: Expr, label: str | None = None) -> ModelSp
     if is_zero(factor):
         raise SpaceError("conformal factor must be nonvanishing; got 0")
     f2 = factor * factor
-    zero = Expr.zero(dim)
-    upper = tuple(
-        tuple(f2 if i == j else zero for j in range(dim)) for i in range(dim)
-    )
-    return ModelSpace(
-        label=label or f"conformal:{dim}",
-        kind="conformal",
-        dim=dim,
-        g_lower=_identity(dim),
-        g_upper=upper,
+    return _space(
+        label or f"conformal:{dim}",
+        "conformal",
+        _diag([Expr.const(dim, 1)] * dim),
+        _diag([f2] * dim),
         lower_scale=f2,
-        signature=(1,) * dim,
         conformal_factor=factor,
     )
 
@@ -182,15 +160,7 @@ def build_nil() -> ModelSpace:
         (zero, one, x),
         (zero, x, one + x * x),
     )
-    return ModelSpace(
-        label="nil",
-        kind="nil",
-        dim=dim,
-        g_lower=lower,
-        g_upper=upper,
-        lower_scale=Expr.const(dim, 1),
-        signature=(1, 1, 1),
-    )
+    return _space("nil", "nil", lower, upper)
 
 
 def build_sol() -> ModelSpace:
@@ -199,26 +169,14 @@ def build_sol() -> ModelSpace:
     e2z = exp_of(2 * z)
     em2z = exp_of(-2 * z)
     one = Expr.const(dim, 1)
-    zero = Expr.zero(dim)
-    lower = (
-        (e2z, zero, zero),
-        (zero, em2z, zero),
-        (zero, zero, one),
-    )
-    upper = (
-        (em2z, zero, zero),
-        (zero, e2z, zero),
-        (zero, zero, one),
-    )
-    return ModelSpace(
-        label="sol",
-        kind="sol",
-        dim=dim,
-        g_lower=lower,
-        g_upper=upper,
-        lower_scale=Expr.const(dim, 1),
-        signature=(1, 1, 1),
-    )
+    return _space("sol", "sol", _diag([e2z, em2z, one]), _diag([em2z, e2z, one]))
+
+
+# The form of each catalog label; a label has exactly the parts of its form.
+_LABEL_FORMS = {
+    "euclid": "euclid:<m>", "semi-euclid": "semi-euclid:<m>:<signs>", "sphere": "sphere:<m>",
+    "conformal": "conformal:<m>:<F>", "nil": "nil", "sol": "sol",
+}
 
 
 @functools.cache
@@ -226,10 +184,16 @@ def build_space(label: str) -> ModelSpace:
     """Build a catalog space from its label string.
 
     Memoised per label string: a repeated label returns the same instance,
-    and so every table cached for it.  A bad label raises every time.
+    and so every table cached for it.  A bad label raises every time, and so
+    does a label with more or fewer parts than its family takes.
     """
     parts = label.strip().split(":")
     kind = parts[0].lower()
+    form = _LABEL_FORMS.get(kind)
+    if form is None:
+        raise SpaceError(f"unknown space label {label!r}")
+    if len(parts) != form.count(":") + 1:
+        raise SpaceError(f"malformed space label {label!r}: expected {form}")
     try:
         if kind == "euclid":
             return build_euclidean(int(parts[1]))
@@ -244,17 +208,12 @@ def build_space(label: str) -> ModelSpace:
             return build_sphere(int(parts[1]))
         if kind == "conformal":
             dim = int(parts[1])
-            factor = parse_expr(":".join(parts[2:]), dim)
-            return build_conformal(dim, factor, label=f"conformal:{dim}:{parts[2]}")
-        if kind == "nil":
-            return build_nil()
-        if kind == "sol":
-            return build_sol()
-    except (IndexError, ValueError) as exc:
+            return build_conformal(dim, parse_expr(parts[2], dim), label=f"conformal:{dim}:{parts[2]}")
+        return build_nil() if kind == "nil" else build_sol()
+    except ValueError as exc:
         if isinstance(exc, SpaceError):
             raise
         raise SpaceError(f"malformed space label {label!r}: {exc}") from None
-    raise SpaceError(f"unknown space label {label!r}")
 
 
 CATALOG_EXAMPLES = (

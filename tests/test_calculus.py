@@ -154,6 +154,12 @@ class TestInfinityTension:
             ]
             assert sample_points(nvars, count, seed, denominator=den) == fresh
 
+    def test_non_finite_values_are_not_zero(self):
+        # inf/inf and nan compare below any tolerance; they must not pass for zero.
+        x1 = Expr.coord(1, 0)
+        assert not numeric_zero_check([exp_of(x1 + 800)], 1, seed=1)
+        assert not numeric_zero_check([exp_of(x1 + 800) - exp_of(x1 + 800) * (1 + x1 * x1)], 1, seed=1)
+
     def test_zero_components_are_not_sampled(self, monkeypatch):
         x1 = Expr.coord(2, 0)
         assert not numeric_zero_check([Expr.zero(2), x1], 2, seed=1)
@@ -794,6 +800,17 @@ class TestCompiledNumericPaths:
     def test_independent_check_rejects_a_short_map(self):
         with pytest.raises(DimensionError, match="codomain euclid:3 has dim 3"):
             independent_numeric_check(E2, E3, affine_map([[1, 0], [0, 1]]))
+
+    def test_independent_check_is_the_fallback_verdict(self):
+        # Every sampled value of this map into Sol is non-finite, so the fallback
+        # refuses it, and the independent check with it.
+        spec = custom_map(2, [parse_expr(c, 2) for c in ("x1", "x2", "exp(800 + x1)")])
+        for check in (infinity_tension, independent_numeric_check):
+            with pytest.raises(UnsupportedExpressionError, match="every tension value is finite"):
+                check(E2, SOL, spec)
+        trig = custom_map(1, [parse_expr(c, 1) for c in ("x1", "0", "cos(x1)")])
+        for spec in (quadratic_map([[[1]], [[0]], [[0]]]), trig):
+            assert independent_numeric_check(E1, SOL, spec) == infinity_tension(E1, SOL, spec).is_harmonic
 
 
 # Every catalog space whose metric lies in Q[x], so the prime point route takes it.

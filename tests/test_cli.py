@@ -160,6 +160,72 @@ class TestCheck:
         assert code == 0
         assert "predicted: harmonic [HomothetyOfProjection] -- agrees" in out
 
+    def test_affine_holomorphic_map_outside_the_normal_form_is_flagged(self, tmp_path, capsys):
+        path = write_map(tmp_path, "holo.json", {"kind": "holomorphic", "m": 1, "complex": ["i*z1"]})
+        code = main(["check", "--domain", "euclid:2", "--codomain", "euclid:2", "--map", path])
+        assert code == 0
+        assert "note: affine-rejected-by-stated-criterion" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("text, path", [
+        ("{not json", "$: invalid JSON"),
+        ("[1, 2]", "$: expected a JSON object"),
+        ('{"kind": "affine"}', "A: missing required field"),
+        ('{"kind": "affine", "A": [1, 2]}', "A: expected a list of rows"),
+        ('{"kind": "affine", "A": [[1, 2], [3]]}', "A[1]: expected 2 entries"),
+        ('{"kind": "quadratic", "quad": []}', "quad: expected a nonempty list"),
+        ('{"kind": "quadratic", "quad": [[[1, 0], [0, 1]], [[1]]]}', "quad[1]: expected 2x2 matrix"),
+        ('{"kind": "quadratic", "quad": [[[1, 0], [0, 1]]], "A": [[1, 2, 3]]}', "A: expected 1x2 matrix"),
+        ('{"kind": "quadratic", "quad": [[[1, 0], [0, 1]]], "b": [1, 2]}', "b: expected 1 entries"),
+        ('{"kind": "custom", "m": 2, "components": []}', "components: expected a nonempty list"),
+        ('{"kind": "holomorphic", "m": 1, "complex": []}', "complex: expected a nonempty list"),
+    ])
+    def test_malformed_document_exit_two(self, tmp_path, capsys, text, path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["check", "--domain", "euclid:2", "--codomain", "euclid:2", "--map", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: {path}" in captured.err
+
+    @pytest.mark.parametrize("label, problem", [
+        ("semi-euclid:2:+", "signature must be 2 entries of +-1"),
+        ("conformal:0:1", "dimension must be >= 1, got 0"),
+        ("conformal:2:exp(x1)", "conformal factor must be polynomial"),
+        ("nil:3", "'nil:3': expected nil"),
+        ("semi-euclid:2:-+:7", "'semi-euclid:2:-+:7': expected semi-euclid:<m>:<signs>"),
+    ])
+    def test_bad_space_label_exit_two(self, proj_map, capsys, label, problem):
+        code = main(["check", "--domain", label, "--codomain", "euclid:2", "--map", proj_map])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert problem in captured.err
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({"kind": "affine", "A": [["1e5000"]]}, "A[0][0]: the value of rational '1e5000'"),
+        ({"kind": "affine", "A": [["1e-5000"]]}, "A[0][0]: the value of rational '1e-5000'"),
+        ({"kind": "affine", "A": [["1e10000000"]]}, "A[0][0]: the value of rational '1e10000000'"),
+        # The map reads, but its energy density 10^8000 cannot be written out.
+        ({"kind": "affine", "A": [["1e4000"]]}, "a coefficient has more than 4300 digits"),
+        ({"kind": "custom", "m": 1, "components": ["1" * 2201 + "*x1"]}, "a coefficient has more than 4300 digits"),
+    ])
+    def test_numbers_past_the_digit_limit_exit_two(self, tmp_path, capsys, doc, problem):
+        path = write_map(tmp_path, "huge.json", doc)
+        code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert problem in captured.err and "Traceback" not in captured.err
+
+    def test_numeric_mode_does_not_call_an_overflowing_map_harmonic(self, tmp_path, capsys):
+        # Every sampled value and magnitude is inf, and inf/inf is below any tolerance.
+        doc = {"kind": "custom", "m": 1, "components": ["exp(800 + x1)"]}
+        path = write_map(tmp_path, "exp.json", doc)
+        code = main(
+            ["check", "--mode", "numeric", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", path]
+        )
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "verdict: zero" not in captured.out
+
 
 class TestEnergy:
     def test_nil_example(self, tmp_path, capsys):
@@ -194,6 +260,12 @@ class TestEnergy:
         code = main(["energy", "--domain", "euclid:4", "--codomain", "euclid:4", "--map", path])
         assert code == 0
         assert capsys.readouterr().out.strip() == "4"
+
+    def test_sphere_codomain_prints_the_quotient(self, tmp_path, capsys):
+        path = write_map(tmp_path, "line.json", {"kind": "affine", "A": [[1]]})
+        code = main(["energy", "--domain", "euclid:1", "--codomain", "sphere:1", "--map", path])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "(1) / (1/4*x1^4 + 1/2*x1^2 + 1/4)"
 
 
 class TestReports:
@@ -336,6 +408,14 @@ class TestSuiteCommand:
         capsys.readouterr()
         assert docs[0] == docs[1]
 
+    def test_every_theorem_at_one_trial(self, capsys):
+        code = main(["suite", "--theorem", "all", "--trials", "1", "--seed", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == len(classify.THEOREMS) + 1 == 18
+        assert all(line.endswith("disagreements=0 ok") for line in lines[:-1])
+        assert lines[-1] == "total disagreements: 0"
+
 
 class TestSearchCommand:
     def test_sol_search_clean(self, capsys):
@@ -391,6 +471,20 @@ class TestSearchCommand:
         )
         assert code == 0
         capsys.readouterr()
+
+    def test_complex_label_outside_the_holomorphic_family_exit_two(self, capsys):
+        code = main(["search", "--family", "linear", "--domain", "complex:1", "--codomain", "euclid:1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "complex:<m> labels apply to the holomorphic family only" in captured.err
+
+    def test_holomorphic_maps_with_several_components(self, capsys):
+        code = main(
+            ["search", "--family", "holomorphic", "--domain", "complex:2", "--codomain", "complex:2",
+             "--trials", "20", "--seed", "0"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "holomorphic euclid:4 -> euclid:4: 20 trials, 0 counterexamples\n"
 
     def test_counterexamples_are_reported(self, tmp_path, capsys, monkeypatch):
         # a predictor that calls every quadratic map harmonic is wrong on each nonzero one

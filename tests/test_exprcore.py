@@ -22,6 +22,7 @@ from infharm.exprcore import (
     jet_residues,
     max_term_magnitude,
     parse_expr,
+    parse_rational,
     partial_derivative,
     residue,
     sin_of,
@@ -304,6 +305,28 @@ class TestRendering:
 
         with pytest.raises(ExprParseError, match="out of range"):
             parse_expr("x5", 2)
+
+
+class TestDigitLimit:
+    """``int``'s limit on digits in a string, sys.get_int_max_str_digits(), bounds input and output."""
+
+    @pytest.mark.parametrize(
+        "text", ["1e5000", "1e-5000", "1e10000000", "2.5E+4300", pytest.param("1" * 4301, id="4301-digits")]
+    )
+    def test_a_rational_past_the_limit_is_refused_before_expansion(self, text):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1e4299", "1e-4299", pytest.param("1" * 4300, id="4300-digits"), "1.5e10"])
+    def test_a_rational_within_the_limit_is_read(self, text):
+        value = parse_rational(text)
+        assert value == Fraction(text)
+        assert str(value)
+
+    def test_a_coefficient_past_the_limit_is_not_rendered(self):
+        with pytest.raises(UnsupportedExpressionError, match="more than 4300 digits"):
+            to_string(Expr.const(1, 10**4400) * x(1, 0))
+        assert to_string(Expr.const(1, 10**4299)) == "1" + "0" * 4299
 
 
 class TestNumericGuards:

@@ -1,5 +1,6 @@
 """Space catalog: metric data, exact inverses, connection identities."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,20 @@ def test_bad_labels_raise_every_time():
         for _ in range(2):
             with pytest.raises(SpaceError):
                 build_space(label)
+
+
+@pytest.mark.parametrize(
+    "label, form",
+    [
+        ("nil:3", "nil"),
+        ("sol:x", "sol"),
+        ("euclid:2:junk", "euclid:<m>"),
+        ("sphere:2:1", "sphere:<m>"),
+        ("semi-euclid:2:-+:7", "semi-euclid:<m>:<signs>"),
+        ("conformal:2:1:2", "conformal:<m>:<F>"),
+        ("semi-euclid:2", "semi-euclid:<m>:<signs>"),
+    ],
+)
+def test_a_label_with_extra_or_missing_parts_is_refused(label, form):
+    with pytest.raises(SpaceError, match=re.escape(f"malformed space label '{label}': expected {form}")):
+        build_space(label)
