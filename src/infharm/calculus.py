@@ -27,10 +27,9 @@ purpose are oracles for the first: ``hessian_form`` (Hess u(grad u, grad u),
 which the LEM1.1 suite compares with the infinity-Laplacian), the
 divergence form of ``p_tension`` on Euclidean pairs, ``fd_p_tension``
 (finite differences) and ``NumericTension`` (float assembly without
-symbolic composition), whose one verdict is the numeric fallback's.  Only
-numeric mode samples a "zero" verdict: an exact one has no term to sample.
+symbolic composition), whose one verdict is the numeric fallback's.
 
-Verdict first.  In exact mode ``infinity_tension`` first evaluates
+Verdict first.  ``infinity_tension`` first evaluates
 tau^a = g^ij d_i phi^a d_j |dphi|^2 at one fixed point p of F_P^m, with
 P = ``PRIME`` = 2^61 - 1 and p drawn once per m from a fixed seed
 (``_tension_mod_p``), in integer arithmetic modulo P.  Evaluation at p
@@ -44,8 +43,8 @@ degree d vanishes with probability at most d/P (the Schwartz-Zippel lemma:
 Schwartz 1980, Zippel 1979); a zero residue costs only time, because the
 symbolic route then decides as before.  That route runs unchanged when the
 residue is 0, when a map component or a metric entry has exp or trig terms
-(every Sol pair), when P divides a denominator, when the codomain scale
-vanishes mod P at phi(p), and in numeric mode.  A ``TensionReport``
+(every Sol pair), when P divides a denominator, and when the codomain
+scale vanishes mod P at phi(p).  A ``TensionReport``
 computes a field that its builder did not pass in when it is first read, so
 a report that the point route decided expands its tension only then, and
 every printed report is the same as an eager one.
@@ -135,7 +134,7 @@ class TensionReport:
             if name.startswith("_") or type(vars(TensionReport).get(name)) is not functools.cached_property:
                 raise TypeError(f"TensionReport has no field {name!r}")
         self.verdict = verdict    # "zero" | "nonzero"
-        self.mode = mode          # "exact" | "numeric"
+        self.mode = mode          # "exact", or "numeric" for a report of the numeric fallback
         self._source = source
         vars(self).update(known)
 
@@ -372,6 +371,7 @@ def _find_witness(components: Sequence[Expr], nvars: int) -> Witness:
     )
 
 
+# No verdict samples through it any more; it stays because bench/tracing.py wraps it by name.
 def numeric_zero_check(components: Sequence[Expr], nvars: int, seed: int = 0) -> bool:
     """All components stay below NUMERIC_TOL at SAMPLE_COUNT sample points.
 
@@ -468,39 +468,27 @@ def _tension_mod_p(
     return tuple(sum(g[i][j] * row[i] * dw[j] for i, j in entries) % PRIME for row in jac)
 
 
-def infinity_tension(
-    domain: ModelSpace,
-    codomain: ModelSpace,
-    phi,
-    mode: str = "exact",
-    seed: int = 0,
-) -> TensionReport:
+def infinity_tension(domain: ModelSpace, codomain: ModelSpace, phi, seed: int = 0) -> TensionReport:
     """Tension components g(grad phi^a, grad |dphi|^2) with an exact verdict.
 
-    mode "exact" first evaluates the tension at the domain's prime point
+    It first evaluates the tension at the domain's prime point
     (``_tension_mod_p``): a nonzero residue decides "nonzero", and the report
     expands the tension only when a caller reads it.  Otherwise it decides
-    by the symbolic zero test and falls back to numeric sampling only when
-    the composition leaves the decidable class; mode "numeric" forces the
-    sampled verdict.
+    by the symbolic zero test, and falls back to numeric sampling, seeded by
+    ``seed``, only when the composition leaves the decidable class.
     """
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
-    exact = mode == "exact"
     source = (domain, codomain, comps)
-    if exact and any(_tension_mod_p(*source) or ()):
+    if any(_tension_mod_p(*source) or ()):
         return TensionReport("nonzero", "exact", source)
     try:
         components, clearing, energy = _tension_components(*source)
     except UnsupportedExpressionError:
         return _numeric_tension_report(domain, codomain, comps, seed)
-    if exact:
-        zero = all(is_zero(c) for c in components)
-    else:
-        zero = numeric_zero_check(components, domain.dim, seed=seed)
     return TensionReport(
-        "zero" if zero else "nonzero",
-        "exact" if exact else "numeric",
+        "zero" if all(is_zero(c) for c in components) else "nonzero",
+        "exact",
         source,
         components=components,
         tension_clearing=clearing,

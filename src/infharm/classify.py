@@ -26,7 +26,6 @@ from .calculus import (
     hessian_form,
     infinity_laplacian,
     infinity_tension,
-    numeric_zero_check,
     p_tension,
     phm_composed_p_tension,
     sample_points,
@@ -67,7 +66,8 @@ class CrossReport:
     predicted: Verdict | None
     direct: TensionReport
     agree: bool | None
-    numeric_ok: bool
+    # Always True; it stays because bench/workloads.py reads it and reports print it.
+    numeric_ok: bool = True
 
 
 @dataclass(frozen=True)
@@ -470,21 +470,15 @@ def cross_validate(
     codomain: ModelSpace,
     spec: MapSpec,
     seed: int = 0,
-    mode: str = "exact",
 ) -> CrossReport:
-    """Predicted criterion verdict vs direct tension; numeric mode re-samples a "zero" verdict."""
+    """Predicted criterion verdict vs direct tension."""
     try:
         predicted = predict(domain, codomain, spec)
     except UnsupportedPairError:
         predicted = None
-    direct = infinity_tension(domain, codomain, spec, mode=mode, seed=seed)
+    direct = infinity_tension(domain, codomain, spec, seed=seed)
     agree = None if predicted is None else (predicted.harmonic == direct.is_harmonic)
-    numeric_ok = True
-    if mode == "numeric" and direct.verdict == "zero" and direct.components is not None:
-        numeric_ok = numeric_zero_check(
-            direct.components, domain.dim, seed=_child_seed(seed, "coherence")
-        )
-    return CrossReport(predicted=predicted, direct=direct, agree=agree, numeric_ok=numeric_ok)
+    return CrossReport(predicted=predicted, direct=direct, agree=agree)
 
 
 def _counterexample(spec: MapSpec, report: CrossReport) -> dict:
@@ -520,7 +514,7 @@ def falsify_search(
         rng = Random(_child_seed(seed, f"falsify:{family}:{trial}"))
         spec = _sample_family(family, domain, codomain, rng)
         report = cross_validate(domain, codomain, spec, seed=_child_seed(seed, f"cv:{trial}"))
-        if report.agree is False or not report.numeric_ok:
+        if report.agree is False:
             counterexamples.append(_counterexample(spec, report))
     return SearchOutcome(
         family=family,
@@ -633,7 +627,7 @@ def _agree_trial(domain, codomain, spec, seed, theorem, trial):
     report = cross_validate(
         domain, codomain, spec, seed=_child_seed(seed, f"{theorem}:cv:{trial}")
     )
-    ok = report.agree is True and report.numeric_ok
+    ok = report.agree is True
     detail = None if ok else _counterexample(spec, report)
     return ok, detail
 

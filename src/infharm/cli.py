@@ -129,7 +129,7 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     seed = _resolve_seed(args)
     domain, codomain, spec, doc = _map_report(args, ("domain", "codomain", "map", "mode", "pad", "seed"))
-    report = cross_validate(domain, codomain, spec, seed=seed, mode=args.mode)
+    report = cross_validate(domain, codomain, spec, seed=seed)
     direct = report.direct
     doc.update(
         _tension_fields(direct),
@@ -176,7 +176,7 @@ def cmd_tension(args) -> int:
     started = time.monotonic()
     seed = _resolve_seed(args)
     domain, codomain, spec, doc = _map_report(args, ("domain", "codomain", "map", "mode", "pad", "seed"))
-    direct = infinity_tension(domain, codomain, spec, mode=args.mode, seed=seed)
+    direct = infinity_tension(domain, codomain, spec, seed=seed)
     doc.update(_tension_fields(direct), seed=seed)
     _finish(args, doc, started)
     if doc["tension_components"] is None:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--codomain", required=True, help="codomain space label")
         p.add_argument("--map", required=True, help="path to a map JSON document")
         if mode:
-            p.add_argument("--mode", choices=("exact", "numeric"), default="exact")
+            p.add_argument("--mode", choices=("exact",), default="exact")
         p.add_argument(
             "--pad",
             action="store_true",

@@ -176,11 +176,6 @@ class TestInfinityTension:
         rep = infinity_tension(E1, SOL, spec)
         assert rep.verdict == "nonzero"
 
-    def test_numeric_mode_agrees_on_zero(self):
-        spec = affine_map([[0, 1, 0], [0, 0, 1]])
-        rep = infinity_tension(NIL, E2, spec, mode="numeric", seed=3)
-        assert rep.verdict == "zero" and rep.mode == "numeric"
-
     def test_numeric_fallback_for_unsupported_composition(self):
         # trig components into Sol: exp(trig) leaves the symbolic class
         spec = custom_map(1, [parse_expr("cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1)])
@@ -851,15 +846,15 @@ class TestPrimePointRoute:
     def test_the_two_routes_agree_on_every_suite(self, monkeypatch, seed):
         decided = []
 
-        def both(domain, codomain, phi, mode="exact", seed=0):
-            report = infinity_tension(domain, codomain, phi, mode=mode, seed=seed)
-            eager = _eager(monkeypatch, domain, codomain, phi, mode=mode, seed=seed)
+        def both(domain, codomain, phi, seed=0):
+            report = infinity_tension(domain, codomain, phi, seed=seed)
+            eager = _eager(monkeypatch, domain, codomain, phi, seed=seed)
             residues = _tension_mod_p(domain, codomain, _components_of(phi))
             assert report.verdict == eager.verdict and report.mode == eager.mode
             on_sol = "sol" in (domain.kind, codomain.kind)
             if eager.verdict == "nonzero" and eager.mode == "exact" and not on_sol:
                 assert any(residues), (domain.label, codomain.label, phi)
-            if mode == "exact" and any(residues or ()):
+            if any(residues or ()):
                 assert not set(DEFERRED) & set(vars(report))
                 decided.append(report)
                 for name in DEFERRED[:4]:
@@ -910,5 +905,3 @@ class TestPrimePointRoute:
             assert _tension_mod_p(dom, cod, _components_of(spec)) is None
             rep = infinity_tension(dom, cod, spec)
             assert rep.verdict == "nonzero" and "components" in vars(rep)
-        rep = infinity_tension(E1, E1, quadratic_map([[[1]]]), mode="numeric")
-        assert rep.mode == "numeric" and "components" in vars(rep)

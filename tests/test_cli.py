@@ -215,16 +215,26 @@ class TestCheck:
         assert code == 2 and captured.out == ""
         assert problem in captured.err and "Traceback" not in captured.err
 
-    def test_numeric_mode_does_not_call_an_overflowing_map_harmonic(self, tmp_path, capsys):
-        # Every sampled value and magnitude is inf, and inf/inf is below any tolerance.
-        doc = {"kind": "custom", "m": 1, "components": ["exp(800 + x1)"]}
-        path = write_map(tmp_path, "exp.json", doc)
-        code = main(
-            ["check", "--mode", "numeric", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", path]
-        )
+    @pytest.mark.parametrize("command", ["check", "tension"])
+    def test_exact_is_the_only_mode(self, tmp_path, capsys, command, square_map, proj_map):
+        # Sampling once called x1^2/1000000 harmonic; no flag brings that verdict back.
+        tiny = write_map(tmp_path, "tiny.json", {"kind": "custom", "m": 1, "components": ["x1^2/1000000"]})
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--mode", "numeric", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", tiny])
         captured = capsys.readouterr()
-        assert code != 0
-        assert "verdict: zero" not in captured.out
+        assert refused.value.code == 2 and captured.out == ""
+        assert "invalid choice: 'numeric'" in captured.err
+        for domain, codomain, path in (("euclid:1", "euclid:1", square_map), ("nil", "euclid:2", proj_map)):
+            runs = []
+            for flags in ([], ["--mode", "exact"]):
+                report = tmp_path / "report.json"
+                code = main([command, *flags, "--domain", domain, "--codomain", codomain,
+                             "--map", path, "--json", str(report)])
+                doc = json.loads(report.read_text())
+                del doc["elapsed_s"]
+                runs.append((code, doc, capsys.readouterr().out))
+            assert runs[0] == runs[1]
+            assert runs[0][1]["invocation"][-2:] == ["--mode", "exact"]
 
 
 class TestEnergy:
