@@ -316,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--codomain", required=True, help="codomain space label")
         p.add_argument("--map", required=True, help="path to a map JSON document")
         if mode:
+            # One value only: old invocations, and the invocation field of reports, stay valid.
             p.add_argument("--mode", choices=("exact",), default="exact")
         p.add_argument(
             "--pad",

@@ -661,7 +661,8 @@ class FloatProgram:
     key), then ``(cos|sin, i, k)`` for its trig powers (one column per
     distinct power).  ``at_points`` and ``at_float_points`` return one column
     per expression; ``at`` and ``at_float`` are the same loop over a batch of
-    one point.
+    one point.  A coefficient past the float range raises
+    ``UnsupportedExpressionError``.
     """
 
     __slots__ = ("nvars", "_rows", "_key_rows", "_powers", "_key_powers", "_keys", "_trig")
@@ -684,10 +685,13 @@ class FloatProgram:
 
         def compile_expr(e: Expr) -> tuple:
             d = e._den
-            return tuple([
-                (n / d, coords + tail(expk, trig) if expk or trig else coords)
-                for (coords, expk, trig), n in e._nums.items()
-            ])
+            try:
+                return tuple([
+                    (n / d, coords + tail(expk, trig) if expk or trig else coords)
+                    for (coords, expk, trig), n in e._nums.items()
+                ])
+            except OverflowError:
+                raise UnsupportedExpressionError("a coefficient is beyond the float range") from None
 
         self.nvars = nvars
         self._rows = (len(exprs), [(n, compile_expr(e)) for n, e in enumerate(exprs) if e._nums])

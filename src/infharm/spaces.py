@@ -29,6 +29,8 @@ A space holds its metric only.  It compares and hashes by identity, so each
 table derived from the metric (``christoffel`` here, and the tables that
 ``calculus`` evaluates with) is a ``functools.cache`` function keyed by the
 space object: computed once per space, and kept for the life of the process.
+``build_space`` memoises on the parsed label, so every spelling of one space
+("NIL", " nil", "sphere:02") is that one object.
 """
 
 from __future__ import annotations
@@ -179,13 +181,13 @@ _LABEL_FORMS = {
 }
 
 
-@functools.cache
 def build_space(label: str) -> ModelSpace:
     """Build a catalog space from its label string.
 
-    Memoised per label string: a repeated label returns the same instance,
-    and so every table cached for it.  A bad label raises every time, and so
-    does a label with more or fewer parts than its family takes.
+    Memoised on the parsed label: every spelling of one space ("NIL" and
+    "nil", "sphere:02" and " sphere:2") returns the same instance, and so
+    every table cached for it.  A bad label raises every time, and so does a
+    label with more or fewer parts than its family takes.
     """
     parts = label.strip().split(":")
     kind = parts[0].lower()
@@ -195,25 +197,27 @@ def build_space(label: str) -> ModelSpace:
     if len(parts) != form.count(":") + 1:
         raise SpaceError(f"malformed space label {label!r}: expected {form}")
     try:
-        if kind == "euclid":
-            return build_euclidean(int(parts[1]))
-        if kind == "semi-euclid":
-            dim = int(parts[1])
-            signs = parts[2]
-            signature = tuple(1 if ch == "+" else -1 for ch in signs)
-            if any(ch not in "+-" for ch in signs):
-                raise SpaceError(f"bad signature string {signs!r}")
-            return build_semi_euclidean(dim, signature)
-        if kind == "sphere":
-            return build_sphere(int(parts[1]))
-        if kind == "conformal":
-            dim = int(parts[1])
-            return build_conformal(dim, parse_expr(parts[2], dim), label=f"conformal:{dim}:{parts[2]}")
-        return build_nil() if kind == "nil" else build_sol()
+        return _parsed_space(kind, *map(int, parts[1:2]), *parts[2:])
     except ValueError as exc:
         if isinstance(exc, SpaceError):
             raise
         raise SpaceError(f"malformed space label {label!r}: {exc}") from None
+
+
+@functools.cache
+def _parsed_space(kind: str, dim: int | None = None, text: str = "") -> ModelSpace:
+    """The space of a parsed label: its family, its dimension and its signs or factor text."""
+    if kind == "euclid":
+        return build_euclidean(dim)
+    if kind == "semi-euclid":
+        if any(ch not in "+-" for ch in text):
+            raise SpaceError(f"bad signature string {text!r}")
+        return build_semi_euclidean(dim, tuple(1 if ch == "+" else -1 for ch in text))
+    if kind == "sphere":
+        return build_sphere(dim)
+    if kind == "conformal":
+        return build_conformal(dim, parse_expr(text, dim), label=f"conformal:{dim}:{text}")
+    return build_nil() if kind == "nil" else build_sol()
 
 
 CATALOG_EXAMPLES = (

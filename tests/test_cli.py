@@ -216,8 +216,21 @@ class TestCheck:
         assert problem in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["check", "tension"])
+    @pytest.mark.parametrize("doc", [
+        {"kind": "quadratic", "quad": [[["1e300"]]], "A": [["0"]]},
+        {"kind": "custom", "m": 1, "components": ["10^300*x1^2"]},
+    ])
+    def test_coefficients_past_the_float_range_exit_two(self, tmp_path, capsys, command, doc):
+        # The tension 16*10^900*x1^2 is exact, but its witness search cannot evaluate it in floats.
+        path = write_map(tmp_path, "huge.json", doc)
+        code = main([command, "--domain", "euclid:1", "--codomain", "euclid:1", "--map", path])
+        captured = capsys.readouterr()
+        assert code == 2 and "verdict:" not in captured.out
+        assert "beyond the float range" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "tension"])
     def test_exact_is_the_only_mode(self, tmp_path, capsys, command, square_map, proj_map):
-        # Sampling once called x1^2/1000000 harmonic; no flag brings that verdict back.
+        # A sampled zero test took the tiny tension of x1^2/1000000 for zero.
         tiny = write_map(tmp_path, "tiny.json", {"kind": "custom", "m": 1, "components": ["x1^2/1000000"]})
         with pytest.raises(SystemExit) as refused:
             main([command, "--mode", "numeric", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", tiny])

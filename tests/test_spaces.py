@@ -200,6 +200,17 @@ def test_build_space_returns_one_instance_per_label():
         assert christoffel(build_space(label)) is christoffel(sp)
 
 
+@pytest.mark.parametrize(
+    "spelling, label",
+    [("NIL", "nil"), (" sphere:2", "sphere:2"), ("sphere:02", "sphere:2"), ("conformal:02:3", "conformal:2:3"),
+     ("semi-euclid:02:-+", "semi-euclid:2:-+")],
+)
+def test_every_spelling_of_a_space_is_one_instance(spelling, label):
+    sp = build_space(label)
+    assert build_space(spelling) is sp
+    assert sp.label == label
+
+
 def test_bad_labels_raise_every_time():
     for label in ("torus:2", "euclid:x", "semi-euclid:2:+*", "conformal:2:x1+"):
         for _ in range(2):
