@@ -32,22 +32,28 @@ symbolic composition), whose one verdict is the numeric fallback's.
 Verdict first.  ``infinity_tension`` first evaluates
 tau^a = g^ij d_i phi^a d_j |dphi|^2 at one fixed point p of F_P^m, with
 P = ``PRIME`` = 2^61 - 1 and p drawn once per m from a fixed seed
-(``_tension_mod_p``), in integer arithmetic modulo P.  Evaluation at p
-modulo P is a ring homomorphism from the local ring of Z[x] at the maximal
-ideal (P, x - p) onto F_P, and the route checks that every divisor it uses
-is a unit there: each coefficient denominator, and the codomain scale at
-phi(p).  So a nonzero residue proves tau^a != 0 in Q(x), that is, the
-cleared component is not the zero ``Expr``, and the verdict is "nonzero"
-without expanding anything.  At a random point, a nonzero tension of
-degree d vanishes with probability at most d/P (the Schwartz-Zippel lemma:
-Schwartz 1980, Zippel 1979); a zero residue costs only time, because the
-symbolic route then decides as before.  That route runs unchanged when the
-residue is 0, when a map component or a metric entry has exp or trig terms
-(every Sol pair), when P divides a denominator, and when the codomain
-scale vanishes mod P at phi(p).  A ``TensionReport``
-computes a field that its builder did not pass in when it is first read, so
-a report that the point route decided expands its tension only then, and
-every printed report is the same as an eager one.
+(``_tension_mod_p``), in integer arithmetic modulo P.  The evaluation is
+the ring homomorphism psi of ``exprcore``: x_i goes to p_i, (cos x_i,
+sin x_i) to a fixed point of the circle over F_P, and exp(g) to chi(g) for
+one character chi per call.  The codomain metric composes with the map
+through its exponent keys: Sol's e^{+-2 y3} at phi is chi(+-2 phi^3), which
+needs only the terms of phi^3, and an exp or trig term of phi^3 is one more
+generator of chi, so a map whose composition leaves the symbolic class is
+evaluated too.  The route checks that every divisor it uses is a unit: each
+coefficient denominator, and the codomain scale at phi(p).  So a nonzero
+residue proves tau^a != 0 (see ``exprcore`` for why psi is sound on exp and
+trig terms, towers included), and the verdict is "nonzero" without
+expanding anything.  At a random point, a nonzero tension vanishes with
+small probability (the Schwartz-Zippel lemma: Schwartz 1980, Zippel 1979);
+a zero residue costs only time, because the symbolic route then decides as
+before.  That route also runs when P divides a denominator, when the
+codomain scale vanishes mod P at phi(p), and when a codomain exponent is
+not linear (no catalog space has one).  A ``TensionReport`` computes a
+field that its builder did not pass in when it is first read, so a report
+that the point route decided expands its tension only then, and every
+printed report is the same as an eager one.  Where that expansion leaves
+the decidable class, the components read None and the witness is the
+numeric fallback's; the verdict and its mode "exact" stay.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from operator import mul, sub, truediv
 from typing import Sequence
 
 from .exprcore import (
+    Character,
     DimensionError,
     Expr,
     FloatProgram,
@@ -118,40 +125,58 @@ class Witness:
 class TensionReport:
     """The verdict on a map, with the expanded tension behind it.
 
-    ``TensionReport(verdict, mode, (domain, codomain, comps), **known)``
+    ``TensionReport(verdict, mode, (domain, codomain, comps), seed, **known)``
     takes whichever of the five fields its builder already has: the cleared
     tension ``components`` and their ``tension_clearing``, the cleared
     ``energy_density`` and its ``energy_clearing``, and the ``witness`` of a
     "nonzero" verdict.  Each field is a ``functools.cached_property``, so one
     that was not passed in is computed when it is first read, the first four
     by one ``_tension_components`` call and the witness by ``_find_witness``,
-    and an error of either surfaces at that read.  A report of the numeric
-    fallback passes all five, with None for the first four.
+    and an error of either surfaces at that read.  Where the expansion leaves
+    the decidable class, the first four read None and the witness is that
+    of the numeric fallback at ``seed``; the verdict stays as it was
+    decided.  A report of the numeric fallback passes all five, with None
+    for the first four.
     """
 
-    def __init__(self, verdict: str, mode: str, source: tuple, **known):
+    def __init__(self, verdict: str, mode: str, source: tuple, seed: int = 0, **known):
         for name in known:
             if name.startswith("_") or type(vars(TensionReport).get(name)) is not functools.cached_property:
                 raise TypeError(f"TensionReport has no field {name!r}")
         self.verdict = verdict    # "zero" | "nonzero"
         self.mode = mode          # "exact", or "numeric" for a report of the numeric fallback
         self._source = source
+        self._seed = seed
         vars(self).update(known)
 
     @property
     def is_harmonic(self) -> bool:
         return self.verdict == "zero"
 
-    _expansion = functools.cached_property(lambda self: _tension_components(*self._source))
+    @functools.cached_property
+    def _expansion(self) -> tuple:
+        try:
+            components, clearing, energy = _tension_components(*self._source)
+        except UnsupportedExpressionError:
+            return None, None, None, None
+        return components, clearing, energy.num, energy.clearing
+
     components = functools.cached_property(lambda self: self._expansion[0])
     tension_clearing = functools.cached_property(lambda self: self._expansion[1])
-    energy_density = functools.cached_property(lambda self: self._expansion[2].num)
-    energy_clearing = functools.cached_property(lambda self: self._expansion[2].clearing)
+    energy_density = functools.cached_property(lambda self: self._expansion[2])
+    energy_clearing = functools.cached_property(lambda self: self._expansion[3])
 
     @functools.cached_property
     def witness(self) -> Witness | None:
         if self.verdict == "zero":
             return None
+        if self.components is None:
+            witness = _numeric_tension_report(*self._source, self._seed).witness
+            if witness is None:
+                raise UnsupportedExpressionError(
+                    "no witness point found for a nonzero tension: every sampled value is within tolerance"
+                )
+            return witness
         return _find_witness(self.components, self._source[0].dim)
 
 
@@ -402,59 +427,140 @@ def _prime_point(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.cache
+def _prime_circle(m: int) -> tuple[tuple[int, int], ...]:
+    """The images (c_i, s_i) of (cos x_i, sin x_i) at the prime point: ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)).
+
+    P = 3 mod 4, so 1 + t^2 is never 0, and t is not 0 or +-1, so c_i and s_i are units.
+    """
+    rng = random.Random(_child_seed(WITNESS_SEED, f"prime circle:{m}"))
+    circle = []
+    for t in (rng.randrange(2, PRIME - 1) for _ in range(m)):
+        inv = pow(1 + t * t, -1, PRIME)
+        circle.append(((1 - t * t) * inv % PRIME, 2 * t * inv % PRIME))
+    return tuple(circle)
+
+
+def _linear_form(key) -> tuple | None:
+    """((d, a_d), ...) of an exponent key h = a_0 + sum_d a_d y_d, d None for a_0; None when h is not linear."""
+    den, nums = key
+    if any(sum(p for _, p in coords) > 1 for coords, _ in nums):
+        return None
+    return tuple((coords[0][0] if coords else None, Fraction(n, den)) for coords, n in nums)
+
+
+@functools.cache
+def _exp_keys(space: ModelSpace) -> dict:
+    """The exponent keys of the space's metric entries (lower, upper and scale), each with its ``_linear_form``."""
+    metric = (space.lower_scale, *(e for row in (*space.g_lower, *space.g_upper) for e in row))
+    return {key: _linear_form(key) for e in metric for _, key, _ in e.terms if key}
+
+
+def _pulled_back(character: Character, forms: dict, comps: tuple[Expr, ...]) -> dict:
+    """chi(h o phi) per codomain exponent key h = a_0 + sum_d a_d y_d: the product of chi(a_d phi^d).
+
+    chi(a phi^d) = chi(phi^d / r)^p for a = p / r, and each chi(phi^d / r)
+    is taken once; the constant term is a_0 times the constant 1.
+    """
+    one = Expr.const(comps[0].nvars, 1)
+    bases: dict[tuple, int] = {}
+    out = {}
+    for key, form in forms.items():
+        value = 1
+        for d, a in form:
+            base = bases.get((d, a.denominator))
+            if base is None:
+                base = bases[d, a.denominator] = character.of(one if d is None else comps[d], a.denominator)
+            value = value * pow(base, a.numerator, PRIME) % PRIME
+        out[key] = value
+    return out
+
+
+@functools.cache
 def _prime_metric(space: ModelSpace) -> tuple | None:
     """(entries, g^ij, dg^ij/dx_k) mod PRIME at the space's prime point, once per space.
 
-    ``entries`` are ``_domain_metric``'s.  None when a metric entry (lower,
-    upper or scale) has exp or trig terms or PRIME divides its denominator,
-    so the space takes no part in the point route.  Otherwise no derivative
-    of an entry has either defect, and every residue the route takes exists.
+    ``entries`` are ``_domain_metric``'s.  The residues of a metric with
+    exp terms depend on the character of each call, so for such a space
+    g and dg are None here and ``_metric_residues`` takes them per call.
+    None when PRIME divides a denominator of a polynomial metric, so the
+    space takes no part in the point route.
     """
-    point = _prime_point(space.dim)[0]
-    metric = (space.lower_scale, *(e for row in (*space.g_lower, *space.g_upper) for e in row))
-    if any(residue(e, point, PRIME) is None for e in metric):
-        return None
     dgu, entries, _ = _domain_metric(space)
-    g = [[residue(e, point, PRIME) for e in row] for row in space.g_upper]
-    dg = [[[residue(e, point, PRIME) for e in col] for col in plane] for plane in dgu]
-    return entries, g, dg
+    if _exp_keys(space):
+        return entries, None, None
+    residues = _metric_residues(space, None)
+    return None if residues is None else (entries, *residues)
+
+
+def _metric_residues(space: ModelSpace, character) -> tuple | None:
+    """g^ij and dg^ij/dx_k at the space's prime point, under ``character``; None where a residue is."""
+    point = _prime_point(space.dim)[0]
+    circle = _prime_circle(space.dim)
+    dgu = _domain_metric(space)[0]
+    g = [[residue(e, point, PRIME, circle, character) for e in row] for row in space.g_upper]
+    dg = [[[residue(e, point, PRIME, circle, character) for e in col] for col in plane] for plane in dgu]
+    if any(None in row for row in g) or any(None in col for plane in dg for col in plane):
+        return None
+    return g, dg
 
 
 def _tension_mod_p(
     domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...]
 ) -> tuple[int, ...] | None:
-    """tau^a = g^ij d_i phi^a d_j |dphi|^2 at the domain's prime point p, mod PRIME.
+    """tau^a = g^ij d_i phi^a d_j |dphi|^2 at the domain's prime point p, under psi, mod PRIME.
 
-    The map's value, gradient and Hessian at p come from ``jet_residues``;
-    |dphi|^2 uses h = g_lower / lower_scale at phi(p), and its derivative
-    dh/dy_d = (dg_d * scale - g * dscale_d) / scale^2 uses the derivatives
-    that ``_codomain_metric`` caches.  None where the route does not apply:
-    a component or a metric entry with exp or trig terms, a denominator that
-    PRIME divides, or a codomain scale that vanishes mod PRIME at phi(p).
+    psi sends x_i to p_i, (cos x_i, sin x_i) to ``_prime_circle``'s point
+    and exp(g) to chi(g), for one ``Character`` chi whose scale is the lcm
+    of the denominators of every exponent in play.  The map's value,
+    gradient and Hessian come from ``jet_residues``.  The codomain metric
+    composes with the map through its exponent keys: an entry's exp(h) at
+    phi is chi(h o phi), which needs only the terms of h o phi, and a tower
+    term of it (an exp or trig term of a component) is one more generator
+    of chi.  |dphi|^2 uses h = g_lower / lower_scale at phi(p), and its
+    derivative dh/dy_d = (dg_d * scale - g * dscale_d) / scale^2 uses the
+    derivatives that ``_codomain_metric`` caches.  None where the route does
+    not apply: a denominator that PRIME divides, or a codomain scale that
+    vanishes mod PRIME at phi(p).
     """
     dom = _prime_metric(domain)
-    if dom is None or _prime_metric(codomain) is None:
+    if dom is None:
         return None
-    entries, g, dg = dom
     m, n = domain.dim, codomain.dim
+    forms = _exp_keys(codomain)
+    if None in forms.values():
+        return None
+    dens = [key[0] for key in _exp_keys(domain)]
+    dens += [key[0] for c in comps for _, key, _ in c.terms if key]
+    dens += [a.denominator * (1 if d is None else comps[d]._den) for form in forms.values() for d, a in form]
+    chi = Character(PRIME, math.lcm(*dens)) if dens else None
+    entries, g, dg = dom
+    if g is None:
+        residues = _metric_residues(domain, chi)
+        if residues is None:
+            return None
+        g, dg = residues
     point, inverses = _prime_point(m)
-    jets = [jet_residues(c, point, inverses, PRIME) for c in comps]
+    circle = _prime_circle(m)
+    jets = [jet_residues(c, point, inverses, PRIME, circle, chi) for c in comps]
     if None in jets:
         return None
     y = [value for value, _, _ in jets]
     jac = [grad for _, grad, _ in jets]
     hess = [h for _, _, h in jets]
+    pulled = _pulled_back(chi, forms, comps).get if forms else None
     dh, dscale, pairs, _, _ = _codomain_metric(codomain)
-    scale = residue(codomain.lower_scale, y, PRIME)
-    if not scale:
+    scale = residue(codomain.lower_scale, y, PRIME, None, pulled)
+    ds = [residue(e, y, PRIME, None, pulled) for e in dscale]
+    if not scale or None in ds:
         return None
-    ds = [residue(e, y, PRIME) for e in dscale]
     inv = pow(scale, -1, PRIME)
     inv2 = inv * inv
     dw = [0] * m
     for b, c in pairs:
-        gv = residue(codomain.g_lower[b][c], y, PRIME)
-        dgv = [residue(e, y, PRIME) for e in dh[b][c]]
+        gv = residue(codomain.g_lower[b][c], y, PRIME, None, pulled)
+        dgv = [residue(e, y, PRIME, None, pulled) for e in dh[b][c]]
+        if gv is None or None in dgv:
+            return None
         hv = gv * inv % PRIME
         dhv = [(dgd * scale - gv * dsd) * inv2 % PRIME for dgd, dsd in zip(dgv, ds)]
         chain = [sum(dhv[d] * jac[d][k] for d in range(n)) % PRIME for k in range(m)]
@@ -473,15 +579,17 @@ def infinity_tension(domain: ModelSpace, codomain: ModelSpace, phi, seed: int = 
 
     It first evaluates the tension at the domain's prime point
     (``_tension_mod_p``): a nonzero residue decides "nonzero", and the report
-    expands the tension only when a caller reads it.  Otherwise it decides
-    by the symbolic zero test, and falls back to numeric sampling, seeded by
-    ``seed``, only when the composition leaves the decidable class.
+    expands the tension only when a caller reads it; where the expansion
+    leaves the decidable class, its witness comes from numeric sampling
+    seeded by ``seed``.  Otherwise it decides by the symbolic zero test, and
+    falls back to numeric sampling, seeded by ``seed``, only when the
+    composition leaves the decidable class.
     """
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
     source = (domain, codomain, comps)
     if any(_tension_mod_p(*source) or ()):
-        return TensionReport("nonzero", "exact", source)
+        return TensionReport("nonzero", "exact", source, seed)
     try:
         components, clearing, energy = _tension_components(*source)
     except UnsupportedExpressionError:

@@ -180,7 +180,8 @@ def cmd_tension(args) -> int:
     doc.update(_tension_fields(direct), seed=seed)
     _finish(args, doc, started)
     if doc["tension_components"] is None:
-        print("tension components left the symbolic class; sampled numerically")
+        sampled = "; sampled numerically" if direct.mode == "numeric" else ""
+        print(f"tension components left the symbolic class{sampled}")
     else:
         for i, comp in enumerate(doc["tension_components"]):
             print(f"tension[{i}] = {comp}")

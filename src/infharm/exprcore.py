@@ -84,12 +84,31 @@ and keeps a product of 0.0 or nan.  A row's float coefficient is
 it equals float() of the reduced ``Fraction`` coefficient.  ``at`` and
 ``at_float`` are batches of one point.
 
+Evaluation modulo a prime.  ``jet_residues`` evaluates an expression, its
+gradient and its Hessian under one map psi into F_q for a prime q: x_i goes
+to an integer p_i, (cos x_i, sin x_i) to a point (c_i, s_i) of the circle
+c^2 + s^2 = 1 over F_q, and exp(g) to chi(g) for a ``Character`` chi, a
+homomorphism from the additive group of exponents into the units of F_q.
+On the expressions whose denominators q does not divide, psi is a ring
+homomorphism of the group ring of the exponent group over Q[x, cos, sin]:
+it respects sin^2 = 1 - cos^2 and exp(g) exp(h) = exp(g + h).  That ring
+embeds in the functions on the chart.  For polynomial exponents this is the
+linear independence stated above.  An exponent may also carry exp or trig
+terms of its own (a tower, which arises when a metric with exponentials is
+composed with a map); then it is Borel's theorem on sums of exponentials
+(Borel 1897), with Lindemann-Weierstrass for exponents that differ by a
+rational constant.  So psi(e) != 0 proves that e is not the zero function.
+A zero image proves nothing: a nonzero e vanishes at a random point only
+with small probability (Schwartz 1980, Zippel 1979), and a caller treats a
+zero as undecided.
+
 All values are immutable after construction and all operations are pure;
 expressions may be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 import sys
@@ -884,62 +903,180 @@ def evaluate_exact(e: Expr, point: Sequence) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# evaluation modulo a prime
+# evaluation modulo a prime (see the module docstring)
 #
-# Reduction modulo a prime q maps the rationals whose denominators q does not
-# divide onto F_q, and it is a ring homomorphism; so is evaluating Q[x] at an
-# integer point p modulo q, on the polynomials whose denominators q does not
-# divide.  The residues below are that image of e(p) and its derivatives.
+# The jet of a term takes the derivatives d exp(g) = g' exp(g),
+# cos' = -sin and sin' = cos, so the gradient and the Hessian of the jet are
+# psi of the partial derivatives.
 
 
-def residue(e: Expr, point: Sequence[int], modulus: int) -> int | None:
-    """e(point) modulo the prime ``modulus``, for a polynomial e at an integer point.
+class Character:
+    """A character chi of the additive group of expressions, into the units modulo a prime.
 
-    None when e has exp or trig terms or ``modulus`` divides its denominator.
+    ``chi(g) = prod_b u_b^(scale * c_b)`` over the terms ``c_b * b`` of g,
+    so chi(g + h) = chi(g) chi(h).  ``scale`` must be a multiple of the
+    denominator of every g that chi meets, so that every power is an
+    integer.  ``u_b`` is a unit derived from the canonical monomial b by a
+    keyed BLAKE2 hash: the same in every process and under every
+    ``PYTHONHASHSEED``.  A monomial b may carry exp and trig parts (a tower
+    term of an exponent); it is one more generator.  The units and values
+    are kept for the life of the object only.
     """
-    den = e._den % modulus
-    if not den or not e.is_polynomial():
-        return None
-    total = 0
-    for (coords, _, _), n in e._nums.items():
-        for i, k in coords:
-            n = n * pow(point[i], k, modulus) % modulus
-        total += n
-    return total * pow(den, -1, modulus) % modulus
+
+    __slots__ = ("modulus", "scale", "_units", "_keys")
+
+    def __init__(self, modulus: int, scale: int):
+        self.modulus = modulus
+        self.scale = scale
+        self._units: dict[Mono, int] = {}
+        self._keys: dict[PolyKey, int] = {}
+
+    def unit(self, mono: Mono) -> int:
+        """u_b of the monomial b, in [1, modulus - 1]."""
+        u = self._units.get(mono)
+        if u is None:
+            digest = hashlib.blake2b(repr(mono).encode(), digest_size=16, key=b"infharm character").digest()
+            u = self._units[mono] = int.from_bytes(digest, "big") % (self.modulus - 1) + 1
+        return u
+
+    def _power(self, den: int, items) -> int:
+        """prod u_b^(scale * n / den) over the ``(mono, n)`` items."""
+        if self.scale % den:
+            raise ValueError(f"character scale {self.scale} is not a multiple of {den}")
+        q = self.modulus
+        f = self.scale // den
+        # The powers with negative exponents are inverted once, as one product.
+        up = down = 1
+        for mono, n in items:
+            if n > 0:
+                up = up * pow(self.unit(mono), f * n, q) % q
+            else:
+                down = down * pow(self.unit(mono), -f * n, q) % q
+        return up if down == 1 else up * pow(down, -1, q) % q
+
+    def of(self, g: Expr, divisor: int = 1) -> int:
+        """chi(g / divisor) for any expression g; ``scale`` must be a multiple of ``divisor`` times its denominator."""
+        return self._power(g._den * divisor, g._nums.items())
+
+    def __call__(self, key: PolyKey) -> int:
+        """chi of the exponent polynomial that ``key`` stores."""
+        value = self._keys.get(key)
+        if value is None:
+            den, nums = key
+            value = self._keys[key] = self._power(den, (((coords, (), ()), n) for coords, n in nums))
+        return value
+
+
+def residue(e: Expr, point: Sequence[int], modulus: int, circle=None, character=None) -> int | None:
+    """psi(e) modulo the prime ``modulus``: e at an integer point, with the images of its other atoms.
+
+    ``circle[i]`` is the image (c_i, s_i) of (cos x_i, sin x_i), a point with
+    c_i^2 + s_i^2 = 1; ``character`` maps an exponent key to the image of
+    its exp, a unit.  None when e has a trig term and no ``circle`` is
+    given, an exp term and no ``character``, or ``modulus`` divides a
+    denominator of e.  This is the value part of ``jet_residues``.
+    """
+    if not e._nums:
+        return 0
+    out = _jet(e, point, None, modulus, circle, character)
+    return None if out is None else out[0]
 
 
 def jet_residues(
-    e: Expr, point: Sequence[int], inverses: Sequence[int], modulus: int
+    e: Expr, point: Sequence[int], inverses: Sequence[int], modulus: int, circle=None, character=None
 ) -> tuple[int, list[int], list[list[int]]] | None:
-    """The value, gradient and Hessian of a polynomial at an integer point, modulo a prime.
+    """psi of e, of its gradient and of its Hessian, as ``residue`` takes them.
 
     ``inverses[i]`` is the inverse of ``point[i]`` modulo ``modulus``, so
-    every coordinate must be a unit: a monomial of value v and exponents k
-    adds k_i v / x_i to d_i e and (k_j - [i == j]) k_i v / (x_i x_j) to
-    d_i d_j e.  None as for ``residue``.
+    every coordinate must be a unit, and so must every c_i and s_i.  A term
+    of value v is v times a product of factors f_i(x_i) = x_i^k cos^a sin^e
+    and exp(g).  Its log-derivative is L_i = f_i'/f_i + d_i g, with
+    x'/x = 1/x, cos'/cos = -s/c and sin'/sin = c/s, so it adds v L_i to d_i e
+    and v (L_i L_j + d_i d_j g + [i == j] (f_i'/f_i)') to d_i d_j e, where
+    (f_i'/f_i)' = -k/x^2 - a/c^2 - e/s^2.  The jet of g is taken by the same
+    evaluator.
     """
-    den = e._den % modulus
-    if not den or not e.is_polynomial():
+    return _jet(e, point, inverses, modulus, circle, character)
+
+
+def _jet(e: Expr, point, inverses, modulus: int, circle, character):
+    """The one evaluator: (value, gradient, Hessian), or (value,) when ``inverses`` is None."""
+    q = modulus
+    den = e._den % q
+    if not den:
         return None
     m = e.nvars
+    jet = inverses is not None
     value = 0
-    grad = [0] * m
-    hess = [[0] * m for _ in range(m)]
-    for (coords, _, _), n in e._nums.items():
+    if jet:
+        grad = [0] * m
+        hess = [[0] * m for _ in range(m)]
+    keys: dict[PolyKey, tuple] = {}
+    for (coords, expk, trig), n in e._nums.items():
         for i, k in coords:
-            n = n * pow(point[i], k, modulus) % modulus
+            n = n * pow(point[i], k, q) % q
+        if not (expk or trig):
+            value += n
+            if jet:
+                # A monomial of value v and exponents k adds k_i v / x_i to d_i e
+                # and (k_j - [i == j]) k_i v / (x_i x_j) to d_i d_j e.
+                for i, ki in coords:
+                    gi = n * ki * inverses[i] % q
+                    grad[i] += gi
+                    row = hess[i]
+                    for j, kj in coords:
+                        row[j] += gi * (kj - (i == j)) * inverses[j]
+            continue
+        if trig:
+            if circle is None:
+                return None
+            for i, cp, sp in trig:
+                c, s = circle[i]
+                n = n * pow(c, cp, q) * (s if sp else 1) % q
+        if expk:
+            if character is None:
+                return None
+            key = keys.get(expk)
+            if key is None:
+                exponent = _jet(_key_expr(m, expk), point, inverses, q, None, None) if jet else (0,)
+                if exponent is None:
+                    return None
+                key = keys[expk] = (character(expk), *exponent[1:])
+            n = n * key[0] % q
         value += n
-        for i, ki in coords:
-            gi = n * ki * inverses[i] % modulus
-            grad[i] += gi
+        if not jet:
+            continue
+        log = [0] * m
+        slope = [0] * m
+        for i, k in coords:
+            log[i] = k * inverses[i]
+            slope[i] = -k * inverses[i] * inverses[i]
+        for i, cp, sp in trig:
+            c, s = circle[i]
+            ci, si = pow(c, -1, q), pow(s, -1, q)
+            log[i] += sp * c * si - cp * s * ci
+            slope[i] -= cp * ci * ci + sp * si * si
+        if expk:
+            _, kgrad, khess = key
+            log = [a + b for a, b in zip(log, kgrad)]
+        for i in range(m):
+            li = log[i]
+            if li:
+                grad[i] += n * li
             row = hess[i]
-            for j, kj in coords:
-                row[j] += gi * (kj - (i == j)) * inverses[j]
-    inv = pow(den, -1, modulus)
+            for j in range(m):
+                h = li * log[j] + (khess[i][j] if expk else 0)
+                if i == j:
+                    h += slope[i]
+                if h:
+                    row[j] += n * h
+    inv = pow(den, -1, q)
+    if not jet:
+        return (value * inv % q,)
     return (
-        value * inv % modulus,
-        [g * inv % modulus for g in grad],
-        [[h * inv % modulus for h in row] for row in hess],
+        value * inv % q,
+        [g * inv % q for g in grad],
+        [[h * inv % q for h in row] for row in hess],
     )
 
 

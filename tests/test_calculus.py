@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from infharm import calculus, classify
+from infharm import calculus, classify, exprcore
 from infharm.calculus import (
     PRIME,
     NumericTension,
@@ -45,6 +45,7 @@ from infharm.exprcore import (
     parse_expr,
     partial_derivative,
     residue,
+    substitute,
     to_string,
 )
 from infharm.mapspec import affine_map, custom_map, materialize, quadratic_map
@@ -177,11 +178,14 @@ class TestInfinityTension:
         assert rep.verdict == "nonzero"
 
     def test_numeric_fallback_for_unsupported_composition(self):
-        # trig components into Sol: exp(trig) leaves the symbolic class
-        spec = custom_map(1, [parse_expr("cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1)])
-        rep = infinity_tension(E1, SOL, spec)
-        assert rep.mode == "numeric"
+        # trig components into Sol: exp(trig) leaves the symbolic class, so the
+        # components read None and the witness is the numeric fallback's; the
+        # verdict is the prime point route's.
+        comps = (parse_expr("cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1))
+        rep = infinity_tension(E1, SOL, custom_map(1, list(comps)), seed=3)
+        assert (rep.verdict, rep.mode) == ("nonzero", "exact")
         assert rep.components is None
+        assert rep.witness == calculus._numeric_tension_report(E1, SOL, comps, 3).witness
 
     def test_numeric_fallback_with_no_finite_point_is_unsupported(self):
         # z = exp(800 + x1) overflows at every sample point, and e^{2z} with it.
@@ -191,8 +195,11 @@ class TestInfinityTension:
         for k in range(len(points)):
             values, scale = nt.at(k)
             assert not all(math.isfinite(v) for v in (scale, *values))
+        # The verdict is exact; the witness that the fallback cannot give is an error on its read.
+        rep = infinity_tension(E2, SOL, comps)
+        assert (rep.verdict, rep.mode) == ("nonzero", "exact")
         with pytest.raises(UnsupportedExpressionError, match="every tension value is finite"):
-            infinity_tension(E2, SOL, comps)
+            rep.witness
 
     def test_exact_zero_passes_numeric_sampling(self):
         spec = custom_map(
@@ -767,7 +774,8 @@ class TestCompiledNumericPaths:
         monkeypatch.setattr(NumericTension, "at", counting_at)
         spec = custom_map(1, [parse_expr("cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1)])
         rep = infinity_tension(E1, SOL, spec)
-        assert rep.mode == "numeric"
+        assert rep.mode == "exact" and seen == []
+        assert rep.witness is not None
         assert seen == list(range(64))
 
     def test_the_sol_null_map_is_harmonic_under_the_summand_scale(self):
@@ -800,7 +808,7 @@ class TestCompiledNumericPaths:
         # Every sampled value of this map into Sol is non-finite, so the fallback
         # refuses it, and the independent check with it.
         spec = custom_map(2, [parse_expr(c, 2) for c in ("x1", "x2", "exp(800 + x1)")])
-        for check in (infinity_tension, independent_numeric_check):
+        for check in (lambda *args: infinity_tension(*args).witness, independent_numeric_check):
             with pytest.raises(UnsupportedExpressionError, match="every tension value is finite"):
                 check(E2, SOL, spec)
         trig = custom_map(1, [parse_expr(c, 1) for c in ("x1", "0", "cos(x1)")])
@@ -851,8 +859,7 @@ class TestPrimePointRoute:
             eager = _eager(monkeypatch, domain, codomain, phi, seed=seed)
             residues = _tension_mod_p(domain, codomain, _components_of(phi))
             assert report.verdict == eager.verdict and report.mode == eager.mode
-            on_sol = "sol" in (domain.kind, codomain.kind)
-            if eager.verdict == "nonzero" and eager.mode == "exact" and not on_sol:
+            if eager.verdict == "nonzero" and eager.mode == "exact":
                 assert any(residues), (domain.label, codomain.label, phi)
             if any(residues or ()):
                 assert not set(DEFERRED) & set(vars(report))
@@ -890,14 +897,46 @@ class TestPrimePointRoute:
             report.direct.witness
         assert report.direct.components == (parse_expr("x1^2/62500000000000000", 1),)
 
+    def test_the_pulled_back_character_is_the_character_of_the_composed_key(self):
+        # Sol's keys are +-2 y3; a linear key with a constant and fractions checks the general form.
+        rng = Random(2031)
+        cod = build_conformal(3, parse_expr("1 + x1^2", 3))
+        keys = {key: exprcore._key_expr(3, key) for key in calculus._exp_keys(SOL)}
+        extra = parse_expr("2/3*x1 - 5/2*x3 + 1/7", 3)
+        keys[exprcore._key_of(extra)] = extra
+        forms = {key: calculus._linear_form(key) for key in keys}
+        assert calculus._exp_keys(cod) == {}
+        for _ in range(20):
+            comps = tuple(random_expr(rng, 2) for _ in range(3))
+            composed = {key: substitute(k, comps) for key, k in keys.items()}
+            scale = 42 * math.lcm(*(c._den for c in comps), *(e._den for e in composed.values()))
+            chi = exprcore.Character(PRIME, scale)
+            assert calculus._pulled_back(chi, forms, comps) == {key: chi.of(e) for key, e in composed.items()}
+
+    def test_a_trig_map_into_sol_is_decided_with_the_witness_of_the_fallback(self):
+        spec = custom_map(2, [parse_expr(c, 2) for c in ("1", "2", "cos(x1)")])
+        rep = infinity_tension(E2, SOL, spec)
+        assert (rep.verdict, rep.mode) == ("nonzero", "exact")
+        assert rep.components is None and rep.energy_density is None
+        assert repr(rep.witness) == (
+            "Witness(point=(Fraction(15, 16), Fraction(3, 4)), component=2, value=-0.7690705242157115)"
+        )
+        assert rep.verdict == "nonzero"
+
     def test_the_route_falls_through_outside_its_class(self, monkeypatch):
         square = parse_expr("x1^2", 1)
         (p1,), _ = _prime_point(1)
         vanishing = build_conformal(1, parse_expr(f"x1 - {p1}", 1))
-        cases = [
+        decided = [
             (E1, SOL, custom_map(1, [square, Expr.zero(1), Expr.zero(1)])),   # exp in the codomain metric
             (SOL, E1, custom_map(3, [parse_expr("x1^2", 3)])),                # exp in the domain metric
             (E1, E1, custom_map(1, [parse_expr("cos(x1)", 1)])),              # trig in the map
+        ]
+        for dom, cod, spec in decided:
+            assert any(_tension_mod_p(dom, cod, _components_of(spec)))
+            rep = infinity_tension(dom, cod, spec)
+            assert rep.verdict == "nonzero" and "components" not in vars(rep)
+        cases = [
             (E1, E1, custom_map(1, [parse_expr(f"x1^2 + x1^2/{PRIME}", 1)])),  # PRIME divides a denominator
             (E1, vanishing, custom_map(1, [Expr.coord(1, 0)])),               # the scale vanishes at phi(p)
         ]

@@ -9,6 +9,7 @@ import pytest
 
 from infharm import exprcore
 from infharm.exprcore import (
+    Character,
     DimensionError,
     Expr,
     FloatProgram,
@@ -274,6 +275,88 @@ class TestResidues:
             assert residue(e, [2], q) is None and jet_residues(e, [2], [pow(2, -1, q)], q) is None
         assert residue(parse_expr(f"x1 + x1/{q}", 1), [2], q) is None
         assert residue(parse_expr(f"{q}*x1/7", 1), [2], q) == 0
+
+    # psi: x_i -> p_i, (cos x_i, sin x_i) -> a point of the circle, exp(g) -> chi(g).
+
+    def images(self, rng, m):
+        point = [rng.randrange(2, self.Q) for _ in range(m)]
+        circle = []
+        for _ in range(m):
+            t = rng.randrange(2, self.Q - 1)
+            inv = pow(1 + t * t, -1, self.Q)
+            circle.append(((1 - t * t) * inv % self.Q, 2 * t * inv % self.Q))
+        return point, [pow(v, -1, self.Q) for v in point], circle
+
+    @staticmethod
+    def scale(*exprs):
+        """The lcm of the exponent denominators of the expressions."""
+        return math.lcm(*(key[0] for e in exprs for _, key, _ in e.terms if key))
+
+    def test_psi_is_a_ring_homomorphism_on_exp_and_trig_terms(self):
+        rng = Random(2027)
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            e, f = rational_exponent_expr(rng, m), rational_exponent_expr(rng, m)
+            point, _, circle = self.images(rng, m)
+            chi = Character(self.Q, self.scale(e, f, e * f))
+
+            def psi(g):
+                return residue(g, point, self.Q, circle, chi)
+
+            assert psi(e * f) == psi(e) * psi(f) % self.Q, (e, f)
+            assert psi(e + f) == (psi(e) + psi(f)) % self.Q, (e, f)
+            assert psi(e * e - f * f) == psi(e + f) * psi(e - f) % self.Q, (e, f)
+
+    def test_the_jet_is_psi_of_the_partial_derivatives(self):
+        rng = Random(2028)
+        for _ in range(40):
+            m = rng.randint(1, 3)
+            e = rational_exponent_expr(rng, m)
+            point, inverses, circle = self.images(rng, m)
+            chi = Character(self.Q, self.scale(e))
+            value, grad, hess = jet_residues(e, point, inverses, self.Q, circle, chi)
+            assert value == residue(e, point, self.Q, circle, chi)
+            for i in range(m):
+                di = partial_derivative(e, i)
+                assert grad[i] == residue(di, point, self.Q, circle, chi), (e, i)
+                for j in range(m):
+                    assert hess[i][j] == residue(partial_derivative(di, j), point, self.Q, circle, chi), (e, i, j)
+
+    def test_the_character_is_additive_on_tower_exponents(self):
+        # Exponents with exp and trig terms of their own: each such term is one more generator.
+        rng = Random(2029)
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            g, h = rational_exponent_expr(rng, m), rational_exponent_expr(rng, m)
+            chi = Character(self.Q, 3 * math.lcm(g._den, h._den))
+            assert chi.of(g + h) == chi.of(g) * chi.of(h) % self.Q, (g, h)
+            assert chi.of(g, 3) * chi.of(g, 3) * chi.of(g, 3) % self.Q == chi.of(g), g
+
+    def test_psi_composes_through_exponent_keys(self):
+        # psi(e o phi) for e over y with exp terms and phi with exp and trig terms:
+        # exp(k) goes to chi(k o phi), a tower when phi has exp terms.
+        rng = Random(2030)
+        for _ in range(40):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            phi = [rational_exponent_expr(rng, m) for _ in range(n)]
+            e, f = random_expr(rng, n, allow_trig=False), random_expr(rng, n, allow_trig=False)
+            point, _, circle = self.images(rng, m)
+            keys = {key for g in (e, f, e * f) for _, key, _ in g.terms if key}
+            pulled = {key: substitute(exprcore._key_expr(n, key), phi) for key in keys}
+            chi = Character(self.Q, self.scale(*phi) * math.lcm(1, *(p._den for p in pulled.values())))
+            y = [residue(c, point, self.Q, circle, chi) for c in phi]
+
+            def psi(g):
+                return residue(g, y, self.Q, None, lambda key: chi.of(pulled[key]))
+
+            assert psi(e * f) == psi(e) * psi(f) % self.Q, (e, f, phi)
+            assert psi(e + f) == (psi(e) + psi(f)) % self.Q, (e, f, phi)
+
+    def test_the_units_do_not_depend_on_the_hash_seed(self):
+        chi = Character(self.Q, 1)
+        mono = (((0, 1),), (), ())
+        assert chi.unit(mono) == 129567416475382316
+        assert chi.of(x(1, 0)) == chi.unit(mono) and chi.of(-2 * x(1, 0)) == pow(chi.unit(mono), -2, self.Q)
 
 
 class TestRendering:

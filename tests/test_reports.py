@@ -68,7 +68,7 @@ def _spy(monkeypatch, name):
 
 
 def _kinds():
-    """A prime-route "nonzero", a symbolic "zero", a symbolic "nonzero" on Sol, a numeric fallback."""
+    """A prime-route "nonzero", a symbolic "zero", a prime-route "nonzero" on Sol, one outside the class."""
     square = parse_expr("x1^2", 1)
     return {
         "prime": (E1, E1, quadratic_map([[[1]]])),
@@ -102,14 +102,14 @@ class TestOneConstructor:
         assert sol.witness == _find_witness(components, 1)
 
         fallback = infinity_tension(*kinds["fallback"])
-        assert (fallback.verdict, fallback.mode) == ("nonzero", "numeric")
+        assert (fallback.verdict, fallback.mode) == ("nonzero", "exact")
         assert [getattr(fallback, name) for name in FIELDS[:4]] == [None] * 4
         assert isinstance(fallback.witness, Witness) and fallback.witness.component in (0, 1, 2)
 
     def test_the_sol_witness_is_searched_for_on_first_read_only(self, monkeypatch):
         searches = _spy(monkeypatch, "_find_witness")
         report = infinity_tension(*_kinds()["sol"])
-        assert report.verdict == "nonzero" and "components" in vars(report)
+        assert report.verdict == "nonzero" and "components" not in vars(report)
         assert searches == [] and "witness" not in vars(report)
         witness = report.witness
         assert len(searches) == 1
@@ -118,7 +118,10 @@ class TestOneConstructor:
     def test_a_numeric_fallback_report_computes_nothing_on_read(self, monkeypatch):
         s = "(x1 + 3/5*x2 + 4/5*x3)"
         null = custom_map(3, [parse_expr(f"{s}^2", 3), Expr.zero(3), parse_expr(f"exp({s})", 3)])
-        reports = [infinity_tension(*_kinds()["fallback"]), infinity_tension(build_space("semi-euclid:3:-++"), SOL, null)]
+        # PRIME divides a coefficient's denominator, so the prime point route refuses this map.
+        p = calculus.PRIME
+        refused = custom_map(1, [parse_expr(f"{p + 1}/{p}*cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1)])
+        reports = [infinity_tension(E1, SOL, refused), infinity_tension(build_space("semi-euclid:3:-++"), SOL, null)]
         expansions = _spy(monkeypatch, "_tension_components")
         searches = _spy(monkeypatch, "_find_witness")
         assert [(r.verdict, r.mode) for r in reports] == [("nonzero", "numeric"), ("zero", "numeric")]
@@ -171,5 +174,5 @@ def test_golden_report_digest():
         )
         kinds[rep.verdict, rep.mode] = kinds.get((rep.verdict, rep.mode), 0) + 1
         digest.update(repr(fields).encode() + b"\n")
-    assert kinds == {("nonzero", "exact"): 119, ("zero", "exact"): 9, ("nonzero", "numeric"): 3, ("zero", "numeric"): 1}
-    assert digest.hexdigest() == "0d438490439661a998e9fa04e41f942a197413ee3a2da2a346394d971cf8f25a"
+    assert kinds == {("nonzero", "exact"): 122, ("zero", "exact"): 9, ("zero", "numeric"): 1}
+    assert digest.hexdigest() == "4bb890c32817f6b6d7b88650717bf0599e47a3bda5c7d94e406082f342d2d9b5"
