@@ -205,13 +205,19 @@ def _jacobian(comps: Sequence[Expr], m: int) -> list[list[Expr]]:
 
 
 def _contract(space: ModelSpace, u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
-    """g^{ij} u_i v_j, summed over nonzero inverse-metric entries in (i, j) order."""
+    """g^{ij} u_i v_j, summed in (i, j) order over the entries where g^ij, u_i and v_j are nonzero.
+
+    A zero factor makes an empty product, which adds nothing and moves no term.
+    """
     total = Expr.zero(space.dim)
     for i in range(space.dim):
+        ui = u[i]
+        if not ui:
+            continue
         for j in range(space.dim):
             gij = space.g_upper[i][j]
-            if gij:
-                total = total + gij * u[i] * v[j]
+            if gij and v[j]:
+                total = total + gij * ui * v[j]
     return total
 
 

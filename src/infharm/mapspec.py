@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exprcore import (
+    MONO_ONE,
     Expr,
     ExprParseError,
     UnsupportedExpressionError,
@@ -206,10 +207,6 @@ class MapSpec:
     complex_map: ComplexPolyMap | None = None
 
 
-def _coords(m: int) -> list[Expr]:
-    return [Expr.coord(m, i) for i in range(m)]
-
-
 def affine_map(A, b=None) -> MapSpec:
     A = tuple(tuple(Fraction(v) for v in row) for row in A)
     n = len(A)
@@ -300,23 +297,39 @@ def realify(cmap: ComplexPolyMap) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
     return tuple(us), tuple(vs)
 
 
+def _affine_component(spec: MapSpec, alpha: int) -> Expr:
+    """Component alpha of an affine or quadratic map, as one {monomial: coefficient} dict.
+
+    The terms come in the order of a running sum b + sum_ij q_ij x_i x_j +
+    sum_j A_j x_j: the constant, the quadratic monomials in (i, j) scan
+    order, then the linear terms; a coefficient that sums to zero is dropped.
+    """
+    terms: dict = {}
+
+    def add(mono, value):
+        if mono not in terms:
+            terms[mono] = value
+        elif terms[mono] + value:
+            terms[mono] += value
+        else:
+            del terms[mono]
+
+    if spec.b[alpha]:
+        add(MONO_ONE, spec.b[alpha])
+    for i, row in enumerate(() if spec.quad is None else spec.quad[alpha]):
+        for j, v in enumerate(row):
+            if v:
+                add((((i, 2),) if i == j else ((min(i, j), 1), (max(i, j), 1)), (), ()), v)
+    for j, v in enumerate(spec.A[alpha]):
+        if v:
+            add((((j, 1),), (), ()), v)
+    return Expr(spec.domain_dim, terms)
+
+
 def materialize(spec: MapSpec) -> tuple[Expr, ...]:
     """The map's components as canonical expressions over the domain coordinates."""
-    m = spec.domain_dim
-    xs = _coords(m)
     if spec.kind in ("affine", "quadratic"):
-        out = []
-        for alpha in range(spec.codomain_dim):
-            comp = Expr.const(m, spec.b[alpha])
-            q = () if spec.quad is None else spec.quad[alpha]
-            for i, row in enumerate(q):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        comp = comp + v * xs[i] * xs[j]
-            for j in range(m):
-                comp = comp + spec.A[alpha][j] * xs[j]
-            out.append(comp)
-        return tuple(out)
+        return tuple(_affine_component(spec, alpha) for alpha in range(spec.codomain_dim))
     if spec.kind == "custom":
         return spec.components
     if spec.kind == "holomorphic":

@@ -66,6 +66,24 @@ def random_cpoly(rng: Random, m: int) -> dict:
     return poly or {(0,) * m: (Fraction(1), Fraction(0))}
 
 
+def reference_materialize(spec) -> tuple[Expr, ...]:
+    """An affine or quadratic map's components as the running sum b + sum_ij q_ij x_i x_j + sum_j A_j x_j."""
+    m = spec.domain_dim
+    xs = [Expr.coord(m, i) for i in range(m)]
+    out = []
+    for alpha in range(spec.codomain_dim):
+        comp = Expr.const(m, spec.b[alpha])
+        q = () if spec.quad is None else spec.quad[alpha]
+        for i, row in enumerate(q):
+            for j, v in enumerate(row):
+                if v != 0:
+                    comp = comp + v * xs[i] * xs[j]
+        for j in range(m):
+            comp = comp + spec.A[alpha][j] * xs[j]
+        out.append(comp)
+    return tuple(out)
+
+
 def random_point(rng: Random, nvars: int, den: int = 8) -> list[Fraction]:
     return [Fraction(rng.randint(-den, den), den) for _ in range(nvars)]
 

@@ -96,6 +96,8 @@ class TestCheck:
             ({"kind": "custom", "m": 1, "components": ["x1^" + "0" * 4400]}, "components[0]"),
             ({"kind": "custom", "m": 1, "components": ["x" + "1" * 4400]}, "components[0]"),
             ({"kind": "holomorphic", "m": 1, "complex": ["z" + "1" * 4400]}, "complex[0]"),
+            # A power is refused before it is expanded when it may have too many terms.
+            ({"kind": "custom", "m": 3, "components": ["(x1+x2+x3+1)^100"]}, "components[0]: a power ^100"),
         ],
     )
     def test_malformed_component_exit_two(self, tmp_path, capsys, doc, path):

@@ -12,6 +12,7 @@ from infharm.exprcore import (
     Character,
     DimensionError,
     Expr,
+    ExprParseError,
     FloatProgram,
     UnsupportedExpressionError,
     cos_of,
@@ -357,6 +358,35 @@ class TestResidues:
         mono = (((0, 1),), (), ())
         assert chi.unit(mono) == 129567416475382316
         assert chi.of(x(1, 0)) == chi.unit(mono) and chi.of(-2 * x(1, 0)) == pow(chi.unit(mono), -2, self.Q)
+
+
+class TestPowerBudget:
+    def test_a_power_over_the_budget_is_refused_before_it_expands(self):
+        with pytest.raises(ExprParseError, match=r"a power \^100 of 4 terms may expand to more than"):
+            parse_expr("(x1+x2+x3+1)^100", 3)
+        with pytest.raises(ExprParseError, match=r"a power \^n of 2 terms"):
+            parse_expr("(x1+x2)^" + "9" * 40, 2)
+
+    def test_the_bound_is_the_smaller_count(self):
+        def bound(text, n, k):
+            return exprcore._power_terms(parse_expr(text, n), k, 10**9)
+
+        base = "x1+x2+x3+1"
+        assert bound(base, 3, 44) == math.comb(47, 3) == 16215
+        assert bound(base, 3, 44) <= exprcore.MAX_POWER_TERMS < bound(base, 3, 45)
+        for k in range(0, 8):
+            for text, n in (("x1+x2/2+x3/3", 3), ("x1^2 - x2 + 3", 2), ("x1*x2 + x1", 2), ("cos(x1) + exp(x2)", 2)):
+                e = parse_expr(text, n)
+                if e.is_polynomial():
+                    assert len((e ** k).terms) <= bound(text, n, k), (text, k)
+        assert bound("(x1+x2)^2", 2, 10**6) == 10**9 + 1
+
+    def test_the_ladder_bases_and_a_large_constant_stay_accepted(self):
+        for d in range(1, 13):
+            assert exprcore._power_terms(parse_expr("x1+x2/2+x3/3", 3), d, 10**9) <= 91
+            assert len(parse_expr(f"(x1+x2/2+x3/3)^{d}", 3).terms) == math.comb(d + 2, 2)
+        assert exprcore._power_terms(parse_expr("10", 1), 300, 10**9) == 1
+        assert parse_expr("10^300*x1^2", 1) == Expr.const(1, 10**300) * Expr.coord(1, 0) ** 2
 
 
 class TestRendering:

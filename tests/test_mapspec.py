@@ -25,7 +25,7 @@ from infharm.mapspec import (
     serialize_mapspec,
 )
 
-from conftest import rand_coeff, random_cpoly, reference_parse_cpoly
+from conftest import rand_coeff, random_cpoly, reference_materialize, reference_parse_cpoly
 
 
 class TestMaterialize:
@@ -73,6 +73,32 @@ class TestMaterialize:
                     for j in range(m):
                         expected = expected + 2 * quads[alpha][i][j] * xs[j]
                     assert is_zero(partial_derivative(comps[alpha], i) - expected)
+
+
+    def test_affine_and_quadratic_components_equal_the_running_sum_in_term_order(self):
+        rng = Random(12)
+        for trial in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 3)
+
+            def coeff():
+                return rand_coeff(rng) if rng.random() < 0.7 else Fraction(0)
+
+            a = [[coeff() for _ in range(m)] for _ in range(n)]
+            b = [coeff() for _ in range(n)]
+            if trial % 2:
+                spec = affine_map(a, b)
+            else:
+                quads = []
+                for _ in range(n):
+                    q = [[Fraction(0)] * m for _ in range(m)]
+                    for i in range(m):
+                        for j in range(i, m):
+                            q[i][j] = q[j][i] = coeff()
+                    quads.append(q)
+                spec = quadratic_map(quads, a, b)
+            for got, expected in zip(materialize(spec), reference_materialize(spec), strict=True):
+                assert got == expected
+                assert list(got._nums.items()) == list(expected._nums.items()), spec
 
 
 def cauchy_riemann_residuals(cmap: ComplexPolyMap) -> list[Expr]:
@@ -247,9 +273,10 @@ class TestParsing:
 
         Every string gives a MapSpec or a MapSpecError under its field path, and
         never another exception.  The cap of 9 tokens is there because the
-        expansion budget (ROADMAP item 7) is still open: nothing bounds a power
-        yet, so a longer run of digits after ``^`` could ask for an expansion
-        that does not finish.
+        expansion budget (ROADMAP item 7) bounds only the terms of a power of
+        an expression: a power of a constant or of a complex polynomial is not
+        bounded, so a longer run of digits after ``^`` could ask for an
+        expansion that does not finish.
         """
         alphabet = [
             "x1", "z1", "z", "w", "i", "exp", "cos", "(", ")", "+", "-", "*", "/", "^",
