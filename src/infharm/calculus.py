@@ -491,7 +491,7 @@ def _prime_metric(space: ModelSpace) -> tuple | None:
     None when PRIME divides a denominator of a polynomial metric, so the
     space takes no part in the point route.
     """
-    dgu, entries, _ = _domain_metric(space)
+    entries = _domain_metric(space)[1]
     if _exp_keys(space):
         return entries, None, None
     residues = _metric_residues(space, None)
@@ -613,7 +613,8 @@ def infinity_tension(domain: ModelSpace, codomain: ModelSpace, phi, seed: int = 
 
 # ---------------------------------------------------------------------------
 # numeric fallback: evaluates the tension pointwise without symbolic
-# composition of the codomain metric (needed e.g. for trig maps into Sol)
+# composition of the codomain metric (needed e.g. for the "zero" verdict of a
+# null map into Sol with an exp component, and the witness of a trig map into Sol)
 
 
 # A point whose domain and metric values are all finite and below this in
