@@ -978,14 +978,14 @@ def residue(e: Expr, point: Sequence[int], modulus: int, circle=None, character=
     """
     if not e._nums:
         return 0
-    out = _jet(e, point, None, modulus, circle, character)
+    out = jet_residues(e, point, None, modulus, circle, character)
     return None if out is None else out[0]
 
 
 def jet_residues(
-    e: Expr, point: Sequence[int], inverses: Sequence[int], modulus: int, circle=None, character=None
-) -> tuple[int, list[int], list[list[int]]] | None:
-    """psi of e, of its gradient and of its Hessian, as ``residue`` takes them.
+    e: Expr, point: Sequence[int], inverses: Sequence[int] | None, modulus: int, circle=None, character=None
+) -> tuple | None:
+    """psi of e, of its gradient and of its Hessian, as ``residue`` takes them; (psi(e),) when ``inverses`` is None.
 
     ``inverses[i]`` is the inverse of ``point[i]`` modulo ``modulus``, so
     every coordinate must be a unit, and so must every c_i and s_i.  A term
@@ -996,11 +996,6 @@ def jet_residues(
     (f_i'/f_i)' = -k/x^2 - a/c^2 - e/s^2.  The jet of g is taken by the same
     evaluator.
     """
-    return _jet(e, point, inverses, modulus, circle, character)
-
-
-def _jet(e: Expr, point, inverses, modulus: int, circle, character):
-    """The one evaluator: (value, gradient, Hessian), or (value,) when ``inverses`` is None."""
     q = modulus
     den = e._den % q
     if not den:
@@ -1038,7 +1033,7 @@ def _jet(e: Expr, point, inverses, modulus: int, circle, character):
                 return None
             key = keys.get(expk)
             if key is None:
-                exponent = _jet(_key_expr(m, expk), point, inverses, q, None, None) if jet else (0,)
+                exponent = jet_residues(_key_expr(m, expk), point, inverses, q) if jet else ()
                 if exponent is None:
                     return None
                 key = keys[expk] = (character(expk), *exponent[1:])
