@@ -1225,23 +1225,54 @@ MAX_POWER_TERMS = 16_500
 
 
 def _power_terms(base: Expr, k: int, cap: int) -> int:
-    """A bound on the terms of base^k, or cap + 1 once it is known to exceed cap.
+    """``_term_bound`` of base^k, with the shape of a polynomial base.
 
-    A product of k of the t terms of the base is one of C(t + k - 1, k)
-    multisets; for a polynomial in v coordinates of degree deg, it is also
-    one of the C(v + k * deg, v) monomials of degree at most k * deg.  The
-    bound is the smaller count: exact for polynomials, an estimate for exp
-    and trig bases, whose sin^2 = 1 - cos^2 rewrite can add terms.
+    The bound is exact for polynomials, an estimate for exp and trig bases,
+    whose sin^2 = 1 - cos^2 rewrite can add terms.
     """
-    t = len(base._nums)
+    shape = None
+    if base._nums and base.is_polynomial():
+        v = len({i for coords, _, _ in base._nums for i, _ in coords})
+        deg = max(sum(p for _, p in coords) for coords, _, _ in base._nums)
+        shape = (v, deg)
+    return _term_bound(len(base._nums), k, cap, shape)
+
+
+def _term_bound(t: int, k: int, cap: int, shape: tuple[int, int] | None = None) -> int:
+    """A bound on the terms of the k-th power of a t-term base, or cap + 1 once it is known to exceed cap.
+
+    A product of k of the t terms is one of C(t + k - 1, k) multisets; for
+    a polynomial base of ``shape`` (v coordinates, degree deg), it is also
+    one of the C(v + k * deg, v) monomials of degree at most k * deg.  The
+    bound is the smaller count.
+    """
     if k == 0 or t <= 1:
         return 1 if k == 0 else t
     bound = _capped_comb(t + k - 1, k, cap)
-    if base.is_polynomial():
-        v = len({i for coords, _, _ in base._nums for i, _ in coords})
-        deg = max(sum(p for _, p in coords) for coords, _, _ in base._nums)
+    if shape is not None:
+        v, deg = shape
         bound = min(bound, _capped_comb(v + k * deg, v, cap))
     return bound
+
+
+def _check_power(k: int, t: int, term_bound: int, magnitude: int, den: int) -> None:
+    """Refuse base^k before it is expanded: more than ``MAX_POWER_TERMS`` terms, or too long coefficients.
+
+    ``term_bound`` bounds the terms of the power of a t-term base, and the
+    base's coefficients are integers over ``den`` whose absolute values sum
+    to ``magnitude``.  Every coefficient of base^k is then an integer of at
+    most k * bits(magnitude) bits over den^k, so k * (bits(magnitude) +
+    bits(den)) bounds the bits of each; a power whose bound exceeds the
+    digits of ``sys.get_int_max_str_digits()``, the limit that
+    ``parse_rational`` applies to a written number, is refused too.
+    """
+    power = k if k < 10**9 else "n"
+    if term_bound > MAX_POWER_TERMS:
+        raise ExprParseError(f"a power ^{power} of {t} terms may expand to more than {MAX_POWER_TERMS} terms")
+    limit = sys.get_int_max_str_digits()
+    # An int compares with a float exactly, so a huge k cannot overflow here.
+    if limit and k * (magnitude.bit_length() + den.bit_length()) > limit / math.log10(2):
+        raise ExprParseError(f"a power ^{power} may have coefficients of more than {limit} digits")
 
 
 def _capped_comb(n: int, r: int, cap: int) -> int:
@@ -1279,12 +1310,9 @@ class _ExprRing:
         return cos_of(self.nvars, j) if func == "cos" else sin_of(self.nvars, j)
 
     def power(self, value: Expr, n: int) -> Expr:
-        """value^n, refused before it is expanded when it may have more than ``MAX_POWER_TERMS`` terms."""
-        if _power_terms(value, n, MAX_POWER_TERMS) > MAX_POWER_TERMS:
-            power = n if n < 10**9 else "n"
-            raise ExprParseError(
-                f"a power ^{power} of {len(value._nums)} terms may expand to more than {MAX_POWER_TERMS} terms"
-            )
+        """value^n, refused by ``_check_power`` before it is expanded."""
+        magnitude = sum(map(abs, value._nums.values()))
+        _check_power(n, len(value._nums), _power_terms(value, n, MAX_POWER_TERMS), magnitude, value._den)
         return value ** n
 
     def div(self, value: Expr, divisor: Expr) -> Expr:

@@ -25,16 +25,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exprcore import (
+    MAX_POWER_TERMS,
     MONO_ONE,
     Expr,
     ExprParseError,
     UnsupportedExpressionError,
+    _check_power,
     _coordinate,
     _Parser,
+    _term_bound,
     parse_expr,
     parse_rational,
     to_string,
@@ -143,6 +147,15 @@ class _GaussianRing:
         return {k: (-r, -i) for k, (r, i) in value.items()}
 
     def power(self, value: CPoly, n: int) -> CPoly:
+        """value^n, refused by ``_check_power`` before it is expanded.
+
+        |re| + |im| is submultiplicative, so it plays the part of |coefficient|.
+        """
+        parts = [x for pair in value.values() for x in pair]
+        den = math.lcm(*(x.denominator for x in parts))
+        magnitude = sum(abs(x.numerator) * (den // x.denominator) for x in parts)
+        shape = (len({i for mono in value for i, e in enumerate(mono) if e}), cpoly_degree(value))
+        _check_power(n, len(value), _term_bound(len(value), n, MAX_POWER_TERMS, shape), magnitude, den)
         return _cpoly_pow(value, self.m, n)
 
     def div(self, value: CPoly, divisor: CPoly) -> CPoly:

@@ -1,7 +1,10 @@
 """Differential operators: worked examples and the operator identities."""
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,8 +18,6 @@ from infharm.calculus import (
     _prime_point,
     _tension_components,
     _tension_mod_p,
-    _full_body,
-    _tension_kernel,
     _witness_candidates,
     energy_density,
     fd_p_tension,
@@ -110,6 +111,14 @@ class TestEnergyDensity:
         spec = quadratic_map([[[12, 0], [0, 12]], [[13, 5], [5, 13]]])
         en = energy_density(semi, semi, spec)
         assert is_zero(en.num)
+
+    def test_a_vertical_map_into_sol_composes_only_h33(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(calculus, "substitute", lambda e, comps: calls.append(e) or substitute(e, comps))
+        comps = (Expr.const(2, 2), Expr.const(2, Fraction(1, 4)), parse_expr("-cos(x2)", 2))
+        en = energy_density(E2, SOL, comps)
+        assert en.num == parse_expr("sin(x2)^2", 2) and en.is_plain
+        assert len(calls) == 2 and calls[0] is SOL.g_lower[2][2] and calls[1] is SOL.lower_scale
 
     def test_positivity_on_riemannian_spaces(self):
         rng = Random(77)
@@ -540,6 +549,43 @@ def reference_fd_p_tension(comps, p, point, h=1e-2):
     return out
 
 
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, which generates the fallback benchmark's maps."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestContractBeforeComposing:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_fallback_shape_is_decided_exactly_without_numeric_tension(self, monkeypatch, seed):
+        workloads = _bench_workloads(monkeypatch)
+        built = []
+        init = NumericTension.__init__
+        monkeypatch.setattr(NumericTension, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        families = set()
+        for i in range(workloads.FALLBACK_WINDOWS * len(workloads.FALLBACK_WINDOW)):
+            family, label, texts, cv_seed = workloads.fallback_map(seed, i)
+            dom = build_space(label)
+            spec = custom_map(dom.dim, [parse_expr(t, dom.dim) for t in texts])
+            report = classify.cross_validate(dom, SOL, spec, seed=cv_seed)
+            direct = report.direct
+            expected = workloads._expected("fallback", family, "family")
+            assert (direct.verdict, direct.mode) == (expected, "exact"), (family, texts)
+            assert direct.components is not None and direct.energy_density is not None, (family, texts)
+            if direct.verdict == "zero":
+                assert all(not c for c in direct.components) and not direct.energy_density
+            else:
+                assert direct.witness is not None
+            families.add(family)
+        assert families == {"null", "vertical", "sol-null-defect"}
+        assert built == []
+
+
 class TestCompiledNumericPaths:
     """The compiled float paths against their per-expression assembly, bit for bit."""
 
@@ -633,72 +679,18 @@ class TestCompiledNumericPaths:
                 expected = reference_at(nt, pt)
                 assert (repr(values), repr(scale)) == tuple(map(repr, expected)), (label, texts, pt)
 
-    @staticmethod
-    def spy_on_bodies(monkeypatch) -> list[str]:
-        """The body, "structural" or "full", that each kernel compiled from now on takes at each point.
-
-        The spy compiles each kernel afresh and gives it a bound that records
-        the outcome of the kernel's own size test.
-        """
-        bodies = []
-        compile_kernel = calculus._tension_kernel.__wrapped__
-
-        class RecordingBound:
-            def __gt__(self, size):
-                structural = size < calculus._STRUCTURAL_BOUND
-                bodies.append("structural" if structural else "full")
-                return structural
-
-        def spy(*spaces):
-            kernel = compile_kernel(*spaces)
-            kernel.__globals__["BOUND"] = RecordingBound()
-            return kernel
-
-        monkeypatch.setattr(calculus, "_tension_kernel", spy)
-        return bodies
-
-    def test_underflowing_metric_entry_switches_the_kernel(self, monkeypatch):
+    def test_an_underflowing_metric_entry_matches_the_per_expression_assembly(self):
         # e^{2z} = e^{800 x1} underflows to 0.0 for x1 below about -0.93 and
         # overflows above about 0.89, and e^{-2z} the other way round, so some
-        # sample points see a dead metric pair, and those take the full body.
-        bodies = self.spy_on_bodies(monkeypatch)
+        # sample points see a dead metric pair.
         x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
         points = sample_points(2, 64, seed=0)
         nt = NumericTension(E2, SOL, (x1, x2, 400 * x1), points)
         for k, pt in enumerate(points):
             values, scale = nt.at(k)
             assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
-        assert len(bodies) == len(points)
         # The smaller of e^{2z} and e^{-2z} is e^{-800 |x1|}.
-        dead = [k for k, pt in enumerate(points) if math.exp(-800 * abs(pt[0])) == 0.0]
-        assert dead
-        assert all(bodies[k] == "full" for k in dead)
-        assert "structural" in bodies
-
-    def test_maps_of_one_shape_share_one_kernel(self):
-        # The structural kernel depends on the pair of spaces and the map's
-        # Jacobian zero pattern, not on the map or the points; the full body,
-        # which e^{2z} = e^{800 x1} sends the point x1 = 1 to, depends on the
-        # pair of spaces alone.
-        x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
-        _tension_kernel.cache_clear()
-        _full_body.cache_clear()
-        huge = (Fraction(1), Fraction(1, 3))
-        first_points, second_points = [(Fraction(1, 2), Fraction(1, 3)), huge], [*sample_points(2, 5, seed=1), huge]
-        maps = (
-            ((x1, x2, 400 * x1), first_points),
-            ((2 * x1, x2 - 1, 400 * x1 + cos_of(2, 0)), second_points),
-            ((x2 * x1, x1, 400 * x1 - x2), second_points),
-        )
-        evaluators = [(NumericTension(E2, SOL, comps, points), points) for comps, points in maps]
-        info = _tension_kernel.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
-        info = _full_body.cache_info()
-        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
-        for nt, points in evaluators:
-            for k, pt in enumerate(points):
-                values, scale = nt.at(k)
-                assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
+        assert any(math.exp(-800 * abs(pt[0])) == 0.0 for pt in points)
 
     @pytest.mark.parametrize("texts", [
         # A vertical map on each coordinate: one live Jacobian entry of nine.
@@ -717,12 +709,10 @@ class TestCompiledNumericPaths:
                 values, scale = nt.at(k)
                 assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt))), (texts, pt)
 
-    def test_a_structurally_zero_jacobian_entry_meets_an_overflowing_metric(self, monkeypatch):
+    def test_a_structurally_zero_jacobian_entry_meets_an_overflowing_metric(self):
         # J_00 and the second row are the zero Expr; e^{2z} = e^{800 x1}
-        # overflows for x1 above about 0.89, where the full body multiplies the
-        # zero entries by inf, and the structural body, which drops them, must
-        # not run.
-        bodies = self.spy_on_bodies(monkeypatch)
+        # overflows for x1 above about 0.89, where the zero entries times inf
+        # give nan, so they must not be dropped.
         x1, x2 = Expr.coord(2, 0), Expr.coord(2, 1)
         points = [*sample_points(2, 64, seed=3), (Fraction(1), Fraction(1, 2))]
         nt = NumericTension(E2, SOL, (x2, Expr.const(2, Fraction(1, 2)), 400 * x1), points)
@@ -735,12 +725,10 @@ class TestCompiledNumericPaths:
             assert (repr(values), repr(scale)) == tuple(map(repr, expected))
             nonfinite += not all(map(math.isfinite, expected[0]))
         assert nonfinite >= len(overflow)
-        assert all(bodies[k] == "full" for k in overflow)
-        assert "structural" in bodies
 
     def test_mixed_partials_are_taken_in_the_kernel_order(self):
         # d_2 d_1 and d_1 d_2 of this component are one Expr with its terms in
-        # two orders, whose floats differ at 7 of these 64 points; the kernel
+        # two orders, whose floats differ at 7 of these 64 points; NumericTension
         # must take dJ_ai/dx_k as d_k of J_ai, for k < i too.
         text = "x1^2*x2*exp(-2/3*x1^3)*sin(x2) + 2 - 3*x1^2*x2^2"
         comps = (Expr.coord(2, 0), Expr.coord(2, 1), parse_expr(text, 2))
@@ -750,18 +738,15 @@ class TestCompiledNumericPaths:
             values, scale = nt.at(k)
             assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt))), pt
 
-    def test_a_point_with_a_huge_or_nonfinite_value_takes_the_full_kernel(self, monkeypatch):
-        bodies = self.spy_on_bodies(monkeypatch)
+    def test_a_point_with_a_huge_or_nonfinite_value_matches_the_per_expression_assembly(self):
         x1 = Expr.coord(2, 0)
         # At x1 = 1 the Hessian of exp(700 x1) overflows; at x1 = 1/2 every value
-        # is finite but exp(350) is above the structural bound; at x1 = -1 every
-        # value is small.
+        # is finite but exp(350) is huge; at x1 = -1 every value is small.
         points = [(Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(-1), Fraction(1))]
         nt = NumericTension(E2, SOL, (x1, exp_of(700 * x1), cos_of(2, 0)), points)
         for k, pt in enumerate(points):
             values, scale = nt.at(k)
             assert (repr(values), repr(scale)) == tuple(map(repr, reference_at(nt, pt)))
-        assert bodies == ["full", "full", "structural"]
 
     def test_the_report_assembles_each_sample_point_once(self, monkeypatch):
         seen = []
@@ -787,9 +772,12 @@ class TestCompiledNumericPaths:
         harmonic = custom_map(3, [parse_expr(f"{s}^2", 3), Expr.zero(3), parse_expr(f"exp({s})", 3)])
         bent = custom_map(3, [parse_expr(f"{s}^2 + x1^2", 3), Expr.zero(3), parse_expr(f"exp({s})", 3)])
         for seed in range(4):
-            rep = infinity_tension(semi, SOL, harmonic, seed=seed)
-            assert (rep.mode, rep.verdict) == ("numeric", "zero")
-            assert infinity_tension(semi, SOL, bent, seed=seed).verdict == "nonzero"
+            assert independent_numeric_check(semi, SOL, harmonic, seed=seed)
+            assert not independent_numeric_check(semi, SOL, bent, seed=seed)
+        # Its contractions vanish exactly, so the symbolic route decides it without the fallback.
+        rep = infinity_tension(semi, SOL, harmonic)
+        assert (rep.mode, rep.verdict) == ("exact", "zero")
+        assert infinity_tension(semi, SOL, bent).verdict == "nonzero"
 
     def test_fd_p_tension_matches_the_per_component_differences(self):
         rng = Random(161)
@@ -891,11 +879,13 @@ class TestPrimePointRoute:
         assert rep.components[0] == 16 * Expr.coord(1, 0) ** 2 and len(expansions) == 1
 
     def test_a_witness_error_surfaces_at_the_first_read(self):
-        report = classify.cross_validate(E1, E1, custom_map(1, [parse_expr("x1^2/1000000", 1)]))
+        # The tension of exp(800 + x1^2) overflows at every candidate, so no value is finite.
+        comps = (parse_expr("exp(800 + x1^2)", 1),)
+        report = classify.cross_validate(E1, E1, custom_map(1, list(comps)))
         assert report.direct.verdict == "nonzero"
         with pytest.raises(UnsupportedExpressionError, match="no witness point found"):
             report.direct.witness
-        assert report.direct.components == (parse_expr("x1^2/62500000000000000", 1),)
+        assert report.direct.components == _tension_components(E1, E1, comps)[0]
 
     def test_the_pulled_back_character_is_the_character_of_the_composed_key(self):
         # Sol's keys are +-2 y3; a linear key with a constant and fractions checks the general form.
@@ -912,19 +902,25 @@ class TestPrimePointRoute:
             assert calculus._pulled_back(chi, forms, comps) == {key: chi.of(e) for key, e in composed.items()}
 
     def test_a_trig_map_into_sol_is_decided_with_the_witness_of_the_fallback(self):
-        # The witness is the one the numeric fallback's own "nonzero" report gave this map.
-        spec = custom_map(2, [parse_expr(c, 2) for c in ("1", "2", "cos(x1)")])
+        # g(dphi^1, dphi^1) is not zero, so h_11 = e^{2 sin x2} is composed and
+        # leaves the class.  The witness is the one the numeric fallback's own
+        # "nonzero" report gave this map.
+        spec = custom_map(2, [parse_expr(c, 2) for c in ("cos(x1)", "x2", "sin(x2)")])
         rep = infinity_tension(E2, SOL, spec)
         assert (rep.verdict, rep.mode) == ("nonzero", "exact")
         assert rep.components is None and rep.energy_density is None
         assert repr(rep.witness) == (
-            "Witness(point=(Fraction(15, 16), Fraction(3, 4)), component=2, value=-0.7690705242157115)"
+            "Witness(point=(Fraction(-51, 64), Fraction(63, 64)), component=0, value=-3.782411778166818)"
         )
         # A tension too small for the fallback to sample has no witness; reading it does not change the verdict.
-        tiny = infinity_tension(E2, SOL, custom_map(2, [parse_expr(c, 2) for c in ("1", "2", "cos(x1)/10^12")]))
+        texts = ("cos(x1)/10^12", "x2", "sin(x2)/10^12")
+        tiny = infinity_tension(E2, SOL, custom_map(2, [parse_expr(c, 2) for c in texts]))
         with pytest.raises(UnsupportedExpressionError, match="every sampled value is within tolerance"):
             tiny.witness
         assert (tiny.verdict, tiny.mode) == ("nonzero", "exact")
+        # A vertical map meets only h_33 = 1, so its components are exact.
+        vertical = infinity_tension(E2, SOL, custom_map(2, [parse_expr(c, 2) for c in ("1", "2", "cos(x1)")]))
+        assert [to_string(c) for c in vertical.components] == ["0", "0", "2*cos(x1)^3 - 2*cos(x1)"]
 
     def test_the_route_falls_through_outside_its_class(self, monkeypatch):
         square = parse_expr("x1^2", 1)

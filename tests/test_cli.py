@@ -60,12 +60,21 @@ class TestCheck:
         assert "energy density: 3" in out
 
     def test_a_nonzero_map_with_no_witness_exits_two(self, tmp_path, capsys):
-        # The tension 16/10^18 x1^2 is below the witness threshold at every candidate.
-        tiny = write_map(tmp_path, "tiny.json", {"kind": "custom", "m": 1, "components": ["x1^2/1000000"]})
-        code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", tiny])
+        # The tension of exp(800 + x1^2) overflows at every candidate, so no value is finite.
+        huge = write_map(tmp_path, "huge.json", {"kind": "custom", "m": 1, "components": ["exp(800 + x1^2)"]})
+        code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", huge])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "no witness point found" in captured.err
+
+    def test_a_tension_with_small_coefficients_has_a_witness(self, tmp_path, capsys):
+        # The tension 16/10^12 x1^2 is far below 1e-9, but not below 1e-9 times its largest term.
+        tiny = write_map(tmp_path, "tiny.json", {"kind": "custom", "m": 1, "components": ["x1^2/1000000"]})
+        out_json = tmp_path / "tiny.out"
+        code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", tiny, "--json", str(out_json)])
+        assert code == 1
+        witness = json.loads(out_json.read_text())["witness"]
+        assert witness == {"point": ["1"], "component": 0, "value": 1.6e-17}
 
     def test_unknown_space_exit_two(self, trig_map, capsys):
         code = main(["check", "--domain", "nope", "--codomain", "euclid:2", "--map", trig_map])
@@ -98,6 +107,11 @@ class TestCheck:
             ({"kind": "holomorphic", "m": 1, "complex": ["z" + "1" * 4400]}, "complex[0]"),
             # A power is refused before it is expanded when it may have too many terms.
             ({"kind": "custom", "m": 3, "components": ["(x1+x2+x3+1)^100"]}, "components[0]: a power ^100"),
+            ({"kind": "holomorphic", "m": 4, "complex": ["(z1+z2+z3+z4+1)^60"]}, "complex[0]: a power ^60"),
+            # ... or when its coefficients may be longer than int() reads.
+            ({"kind": "custom", "m": 2, "components": ["(x1+x2)^15000"]}, "components[0]: a power ^15000"),
+            ({"kind": "custom", "m": 1, "components": ["2^20000000"]}, "components[0]: a power ^20000000"),
+            ({"kind": "holomorphic", "m": 1, "complex": ["2^20000000"]}, "complex[0]: a power ^20000000"),
         ],
     )
     def test_malformed_component_exit_two(self, tmp_path, capsys, doc, path):
@@ -273,6 +287,14 @@ class TestEnergy:
         code = main(
             ["energy", "--domain", "semi-euclid:2:-+", "--codomain", "semi-euclid:2:-+", "--map", path]
         )
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "0"
+
+    def test_a_null_map_into_sol_has_zero_energy(self, tmp_path, capsys):
+        # (s^2, 0, e^s) with s null meets no codomain entry, so e^{2 y3} is never composed.
+        s = "(x1 + 3/5*x2 + 4/5*x3)"
+        path = write_map(tmp_path, "null.json", {"kind": "custom", "m": 3, "components": [f"{s}^2", "0", f"exp({s})"]})
+        code = main(["energy", "--domain", "semi-euclid:3:-++", "--codomain", "sol", "--map", path])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0"
 

@@ -1,6 +1,7 @@
 """Expression arithmetic: worked examples and the ring/calculus invariants."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -366,6 +367,16 @@ class TestPowerBudget:
             parse_expr("(x1+x2+x3+1)^100", 3)
         with pytest.raises(ExprParseError, match=r"a power \^n of 2 terms"):
             parse_expr("(x1+x2)^" + "9" * 40, 2)
+
+    def test_a_power_with_long_coefficients_is_refused_before_it_expands(self):
+        limit = sys.get_int_max_str_digits()
+        for text, n in (("(x1+x2)^15000", 2), ("2^20000000", 1), ("(x1/3)^9000", 1)):
+            with pytest.raises(ExprParseError, match=f"may have coefficients of more than {limit} digits"):
+                parse_expr(text, n)
+        # Two bits a factor for x1 (numerator 1, denominator 1): k = 7,000 is about 4,214 digits.
+        assert parse_expr("x1^7000", 1) == Expr.coord(1, 0) ** 7000
+        with pytest.raises(ExprParseError, match="coefficients"):
+            parse_expr("x1^7200", 1)
 
     def test_the_bound_is_the_smaller_count(self):
         def bound(text, n, k):

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from infharm.exprcore import Expr, is_zero, partial_derivative, to_string
+from infharm.exprcore import Expr, ExprParseError, is_zero, partial_derivative, to_string
 from infharm.mapspec import (
     ComplexPolyMap,
     MapSpec,
@@ -268,15 +268,22 @@ class TestParsing:
         with pytest.raises(MapSpecError, match=r"complex\[0\]: expected a polynomial string"):
             parse_mapspec({"kind": "holomorphic", "m": 1, "complex": [entry]})
 
+    def test_the_complex_ring_takes_the_budgets_of_the_expression_ring(self):
+        with pytest.raises(ExprParseError, match=r"a power \^60 of 5 terms may expand to more than"):
+            parse_cpoly("(z1+z2+z3+z4+1)^60", 4)
+        with pytest.raises(ExprParseError, match="may have coefficients of more than"):
+            parse_cpoly("(1+i)^20000", 1)
+        assert parse_cpoly("(z1+i*z2)^2", 2) == parse_cpoly("z1^2 + 2*i*z1*z2 - z2^2", 2)
+
     def test_fuzzed_strings_give_a_spec_or_a_field_error(self):
         """Seeded strings of at most 9 tokens, each as a component and as a complex polynomial.
 
         Every string gives a MapSpec or a MapSpecError under its field path, and
         never another exception.  The cap of 9 tokens is there because the
-        expansion budget (ROADMAP item 7) bounds only the terms of a power of
-        an expression: a power of a constant or of a complex polynomial is not
-        bounded, so a longer run of digits after ``^`` could ask for an
-        expansion that does not finish.
+        expansion budgets (ROADMAP item 7) bound the terms and the coefficient
+        size of every power, in both rings, but not its time: a power within
+        both budgets, such as ``(z1+z2)^1500``, can still take many seconds,
+        and a longer string could ask for one.
         """
         alphabet = [
             "x1", "z1", "z", "w", "i", "exp", "cos", "(", ")", "+", "-", "*", "/", "^",
