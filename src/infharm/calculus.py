@@ -27,13 +27,15 @@ purpose are oracles for the first: ``hessian_form`` (Hess u(grad u, grad u),
 which the LEM1.1 suite compares with the infinity-Laplacian), the
 divergence form of ``p_tension`` on Euclidean pairs, ``fd_p_tension``
 (finite differences) and ``NumericTension`` (one plain float loop without
-symbolic composition), whose one verdict is the numeric fallback's.
+symbolic composition), which gives no verdict: it is the float cross-check
+``independent_numeric_check`` and the witness of a map whose tension
+leaves the decidable class.
 
 Contract before composing.  The energy density composes a codomain entry
 h_ab with the map only where the contraction g(dphi^a, dphi^b) is not the
 zero ``Expr``, so a null map, or a vertical map (c1, c2, f) into Sol, which
-meets only h_33 = 1, is decided symbolically.  The numeric fallback is
-reached only where a needed entry composes out of the class, such as
+meets only h_33 = 1, is decided symbolically.  The expansion leaves the
+decidable class only where a needed entry composes out of it, such as
 e^{2 sin x2} for (cos x1, x2, sin x2) into Sol.
 
 Verdict first.  ``infinity_tension`` first evaluates
@@ -55,12 +57,14 @@ small probability (the Schwartz-Zippel lemma: Schwartz 1980, Zippel 1979);
 a zero residue costs only time, because the symbolic route then decides as
 before.  That route also runs when P divides a denominator, when the
 codomain scale vanishes mod P at phi(p), and when a codomain exponent is
-not linear (no catalog space has one).  A ``TensionReport`` computes a
-field that its builder did not pass in when it is first read, so a report
-that the point route decided expands its tension only then, and every
-printed report is the same as an eager one.  Where that expansion leaves
-the decidable class, the components read None and the witness is the
-numeric fallback's; the verdict and its mode "exact" stay.
+not linear (no catalog space has one).  A map that neither route decides,
+because its residues are all zero or the point route does not apply and
+its expansion leaves the decidable class, raises
+``UnsupportedExpressionError``: every verdict is exact.  A
+``TensionReport`` of the point route expands its tension when a field is
+first read, so every printed report is the same as an eager one.  Where
+that expansion leaves the decidable class, the components read None and
+the witness is sampled by ``NumericTension``; the verdict stays.
 """
 
 from __future__ import annotations
@@ -129,55 +133,53 @@ class Witness:
 
 
 class TensionReport:
-    """The verdict on a map, with the expanded tension behind it.
+    """The exact verdict on a map, with the expanded tension behind it.
 
-    ``TensionReport(verdict, mode, (domain, codomain, comps), seed, **known)``
-    takes whichever of the five fields its builder already has: the cleared
-    tension ``components`` and their ``tension_clearing``, the cleared
-    ``energy_density`` and its ``energy_clearing``, and the ``witness`` of a
-    "nonzero" verdict.  Each field is a ``functools.cached_property``, so one
-    that was not passed in is computed when it is first read, the first four
-    by one ``_tension_components`` call and the witness by ``_find_witness``,
-    and an error of either surfaces at that read.  Where the expansion leaves
-    the decidable class, the first four read None and the witness is that
-    of the numeric fallback at ``seed``; the verdict stays as it was
-    decided.  A report of the numeric fallback passes all five, with None
-    for the first four.
+    ``TensionReport(verdict, (domain, codomain, comps), seed, expansion)``
+    takes the ``_tension_components`` triple as ``expansion`` where its
+    builder already has it.  The triple is a ``functools.cached_property``,
+    so a report built without it expands the tension when a field is first
+    read, and an error of that expansion or of ``_find_witness`` surfaces at
+    that read.  The fields are the cleared tension ``components`` and their
+    ``tension_clearing``, the cleared ``energy_density`` and its
+    ``energy_clearing``, and the ``witness`` of a "nonzero" verdict.  Where
+    the expansion leaves the decidable class, the first four read None and
+    the witness is ``_sampled_witness``'s at ``seed``; the verdict stays as
+    it was decided.  Every verdict is exact, so ``mode`` is the constant
+    "exact" that reports print.
     """
 
-    def __init__(self, verdict: str, mode: str, source: tuple, seed: int = 0, **known):
-        for name in known:
-            if name.startswith("_") or type(vars(TensionReport).get(name)) is not functools.cached_property:
-                raise TypeError(f"TensionReport has no field {name!r}")
+    mode = "exact"
+
+    def __init__(self, verdict: str, source: tuple, seed: int = 0, expansion: tuple | None = None):
         self.verdict = verdict    # "zero" | "nonzero"
-        self.mode = mode          # "exact", or "numeric" for a report of the numeric fallback
         self._source = source
         self._seed = seed
-        vars(self).update(known)
+        if expansion is not None:
+            self._expansion = expansion
 
     @property
     def is_harmonic(self) -> bool:
         return self.verdict == "zero"
 
     @functools.cached_property
-    def _expansion(self) -> tuple:
+    def _expansion(self) -> tuple | None:
         try:
-            components, clearing, energy = _tension_components(*self._source)
+            return _tension_components(*self._source)
         except UnsupportedExpressionError:
-            return None, None, None, None
-        return components, clearing, energy.num, energy.clearing
+            return None
 
-    components = functools.cached_property(lambda self: self._expansion[0])
-    tension_clearing = functools.cached_property(lambda self: self._expansion[1])
-    energy_density = functools.cached_property(lambda self: self._expansion[2])
-    energy_clearing = functools.cached_property(lambda self: self._expansion[3])
+    components = functools.cached_property(lambda self: self._expansion and self._expansion[0])
+    tension_clearing = functools.cached_property(lambda self: self._expansion and self._expansion[1])
+    energy_density = functools.cached_property(lambda self: self._expansion and self._expansion[2].num)
+    energy_clearing = functools.cached_property(lambda self: self._expansion and self._expansion[2].clearing)
 
     @functools.cached_property
     def witness(self) -> Witness | None:
         if self.verdict == "zero":
             return None
         if self.components is None:
-            witness = _numeric_tension_report(*self._source, self._seed).witness
+            witness = _sampled_witness(*self._source, self._seed)
             if witness is None:
                 raise UnsupportedExpressionError(
                     "no witness point found for a nonzero tension: every sampled value is within tolerance"
@@ -601,35 +603,29 @@ def infinity_tension(domain: ModelSpace, codomain: ModelSpace, phi, seed: int = 
     It first evaluates the tension at the domain's prime point
     (``_tension_mod_p``): a nonzero residue decides "nonzero", and the report
     expands the tension only when a caller reads it; where the expansion
-    leaves the decidable class, its witness comes from numeric sampling
-    seeded by ``seed``.  Otherwise it decides by the symbolic zero test, and
-    falls back to numeric sampling, seeded by ``seed``, only when the
-    composition leaves the decidable class.
+    leaves the decidable class, its witness is sampled, seeded by ``seed``.
+    Otherwise the symbolic zero test decides.  A map that leaves the
+    decidable class there too raises ``UnsupportedExpressionError``.
     """
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
     source = (domain, codomain, comps)
     if any(_tension_mod_p(*source) or ()):
-        return TensionReport("nonzero", "exact", source, seed)
+        return TensionReport("nonzero", source, seed)
     try:
-        components, clearing, energy = _tension_components(*source)
-    except UnsupportedExpressionError:
-        return _numeric_tension_report(domain, codomain, comps, seed)
-    return TensionReport(
-        "zero" if all(is_zero(c) for c in components) else "nonzero",
-        "exact",
-        source,
-        components=components,
-        tension_clearing=clearing,
-        energy_density=energy.num,
-        energy_clearing=energy.clearing,
-    )
+        expansion = _tension_components(*source)
+    except UnsupportedExpressionError as exc:
+        raise UnsupportedExpressionError(
+            f"cannot decide: {exc} in the tension, and the prime point route did not decide it"
+        ) from None
+    return TensionReport("zero" if all(is_zero(c) for c in expansion[0]) else "nonzero", source, seed, expansion)
 
 
 # ---------------------------------------------------------------------------
-# numeric fallback: evaluates the tension pointwise without symbolic
-# composition of the codomain metric, for a map whose contraction meets an
-# entry that composes out of the class (e^{2 sin x2} for (cos x1, x2, sin x2) into Sol)
+# sampled tension: evaluates the tension pointwise without symbolic
+# composition of the codomain metric, for the float cross-check and the
+# witness of a map whose contraction meets an entry that composes out of the
+# class (e^{2 sin x2} for (cos x1, x2, sin x2) into Sol)
 
 
 @functools.cache
@@ -671,9 +667,9 @@ class NumericTension:
     one plain loop, then forms the tension at each point, and ``at(k)``
     returns the k-th result.  This is an independent route to the same
     quantity as the cleared symbolic components (up to the positive clearing
-    factor): the numeric fallback where composition leaves the symbolic
-    class, and ``independent_numeric_check``.  A domain of more than
-    ``NUMERIC_MAX_DIM`` dimensions is refused.
+    factor): ``_sampled_witness`` reads it for ``independent_numeric_check``
+    and for the witness of a map whose composition leaves the symbolic
+    class.  A domain of more than ``NUMERIC_MAX_DIM`` dimensions is refused.
 
     The float operations and their order are the contract: ``reference_at``
     in the tests assembles the same values from one evaluation per
@@ -687,7 +683,7 @@ class NumericTension:
         m, n = domain.dim, codomain.dim
         if m > NUMERIC_MAX_DIM:
             raise UnsupportedExpressionError(
-                f"the numeric fallback takes a domain of at most {NUMERIC_MAX_DIM} dimensions;"
+                f"the sampled tension takes a domain of at most {NUMERIC_MAX_DIM} dimensions;"
                 f" {domain.label} has {m}"
             )
         self.domain = domain
@@ -780,50 +776,38 @@ def _assemble(m: int, n: int, pairs: tuple, values: tuple, metric: tuple) -> tup
 
 
 def independent_numeric_check(domain: ModelSpace, codomain: ModelSpace, phi, seed: int = 0) -> bool:
-    """The numeric fallback's verdict: every ``NumericTension`` value stays below NUMERIC_TOL."""
+    """The float cross-check of a verdict: ``_sampled_witness`` finds no value above NUMERIC_TOL."""
     comps = _components_of(phi)
     _check_dims(domain, codomain, comps)
-    return _numeric_tension_report(domain, codomain, comps, seed).is_harmonic
+    return _sampled_witness(domain, codomain, comps, seed) is None
 
 
-def _numeric_tension_report(
+def _sampled_witness(
     domain: ModelSpace, codomain: ModelSpace, comps: tuple[Expr, ...], seed: int
-) -> TensionReport:
+) -> Witness | None:
+    """The sample point and component whose ``NumericTension`` value is largest against 1 + its scale.
+
+    None when that ratio stays within NUMERIC_TOL at every one of the
+    SAMPLE_COUNT points of ``seed``.  A non-finite value is never a witness,
+    so that answer needs every tension value at every point to be finite,
+    and it raises ``UnsupportedExpressionError`` where one is not.
+    """
     points = sample_points(domain.dim, SAMPLE_COUNT, seed)
     evaluator = NumericTension(domain, codomain, comps, points)
-    worst = 0.0
-    worst_point = None
-    worst_comp = 0
-    worst_val = 0.0
-    finite_points = 0
+    worst, witness, non_finite = NUMERIC_TOL, None, 0
     for k, pt in enumerate(points):
         values, scale = evaluator.at(k)
-        finite_points += math.isfinite(scale) and all(map(math.isfinite, values))
+        non_finite += not (math.isfinite(scale) and all(map(math.isfinite, values)))
         for idx, val in enumerate(values):
             ratio = abs(val) / (1.0 + scale)
             if ratio > worst:
-                worst = ratio
-                worst_point = pt
-                worst_comp = idx
-                worst_val = val
-    zero = worst <= NUMERIC_TOL
-    # A non-finite value is never a witness, so with no finite point a zero
-    # verdict would rest on nothing.
-    if zero and not finite_points:
+                worst, witness = ratio, Witness(point=pt, component=idx, value=val)
+    if witness is None and non_finite:
         raise UnsupportedExpressionError(
-            f"the numeric fallback saw no sample point, of {len(points)}, at which every"
-            " tension value is finite"
+            f"{non_finite} of the {len(points)} sample points are not points at which every tension"
+            " value is finite, so the sampled tension cannot show that it vanishes"
         )
-    return TensionReport(
-        "zero" if zero else "nonzero",
-        "numeric",
-        (domain, codomain, comps),
-        components=None,
-        tension_clearing=None,
-        energy_density=None,
-        energy_clearing=None,
-        witness=None if zero else Witness(point=worst_point, component=worst_comp, value=worst_val),
-    )
+    return witness
 
 
 # ---------------------------------------------------------------------------

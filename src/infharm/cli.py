@@ -65,7 +65,7 @@ def _load_map(path: str, codomain, pad: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = parse_mapspec(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MapSpecError("$", f"cannot read {path}: {exc}") from None
     if pad:
         spec = pad_components(spec, codomain.dim)
@@ -104,9 +104,12 @@ def _finish(args, doc: dict, started: float) -> None:
     """Stamp elapsed_s and write the JSON report when --json was given."""
     doc["elapsed_s"] = round(time.monotonic() - started, 6)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise SpaceError(f"cannot write {args.json}: {exc}") from None
 
 
 def _verdict_json(verdict) -> dict | None:
@@ -180,8 +183,7 @@ def cmd_tension(args) -> int:
     doc.update(_tension_fields(direct), seed=seed)
     _finish(args, doc, started)
     if doc["tension_components"] is None:
-        sampled = "; sampled numerically" if direct.mode == "numeric" else ""
-        print(f"tension components left the symbolic class{sampled}")
+        print("tension components left the symbolic class")
     else:
         for i, comp in enumerate(doc["tension_components"]):
             print(f"tension[{i}] = {comp}")

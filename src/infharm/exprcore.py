@@ -45,7 +45,7 @@ coefficients into ``Fraction`` values, so that keys compare by value.
 
 The iteration order of ``Expr.terms`` is part of the contract: float
 evaluation sums the terms in that order, so a different order can change
-the last bits of a value and flip a verdict near a numeric threshold.  A
+the last bits of a value and move a witness near a numeric threshold.  A
 product visits the pairs of terms in nested term order and lists each
 output monomial where it was first inserted; a running sum that reaches
 zero is dropped, and a later contribution re-inserts it at the end.  A
@@ -651,7 +651,7 @@ def substitute(e: Expr, images: Sequence[Expr]) -> Expr:
             new_exp = substitute(_key_expr(e.nvars, expk), images)
             if not new_exp.is_polynomial():
                 raise UnsupportedExpressionError(
-                    "substitution produced a non-polynomial exponent"
+                    f"substitution produced a non-polynomial exponent {to_string(new_exp)}"
                 )
             acc = acc * exp_of(new_exp)
         for i, cp, sp in trig:

@@ -1,6 +1,7 @@
 """Differential operators: worked examples and the operator identities."""
 
 import importlib.util
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -188,13 +189,13 @@ class TestInfinityTension:
 
     def test_numeric_fallback_for_unsupported_composition(self):
         # trig components into Sol: exp(trig) leaves the symbolic class, so the
-        # components read None and the witness is the numeric fallback's; the
-        # verdict is the prime point route's.
+        # components read None and the witness is sampled; the verdict is the
+        # prime point route's.
         comps = (parse_expr("cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1))
         rep = infinity_tension(E1, SOL, custom_map(1, list(comps)), seed=3)
         assert (rep.verdict, rep.mode) == ("nonzero", "exact")
         assert rep.components is None
-        assert rep.witness == calculus._numeric_tension_report(E1, SOL, comps, 3).witness
+        assert rep.witness == calculus._sampled_witness(E1, SOL, comps, 3) is not None
 
     def test_numeric_fallback_with_no_finite_point_is_unsupported(self):
         # z = exp(800 + x1) overflows at every sample point, and e^{2z} with it.
@@ -803,6 +804,14 @@ class TestCompiledNumericPaths:
         for spec in (quadratic_map([[[1]], [[0]], [[0]]]), trig):
             assert independent_numeric_check(E1, SOL, spec) == infinity_tension(E1, SOL, spec).is_harmonic
 
+    def test_the_independent_check_needs_every_sample_point_finite(self):
+        # e^{2z} overflows at 5 of the 64 points of seed 0, and the other 59 alone read as zero.
+        semi = build_space("semi-euclid:2:-+")
+        spec = custom_map(2, [parse_expr(c, 2) for c in ("x1 + x2", "0", "exp(6*(x1 + x2))")])
+        with pytest.raises(UnsupportedExpressionError, match="^5 of the 64 sample points .* every tension value is finite"):
+            independent_numeric_check(semi, SOL, spec)
+        assert infinity_tension(semi, SOL, spec).verdict == "zero"
+
 
 # Every catalog space whose metric lies in Q[x], so the prime point route takes it.
 POLYNOMIAL_SPACES = (
@@ -934,7 +943,7 @@ class TestPrimePointRoute:
         for dom, cod, spec in decided:
             assert any(_tension_mod_p(dom, cod, _components_of(spec)))
             rep = infinity_tension(dom, cod, spec)
-            assert rep.verdict == "nonzero" and "components" not in vars(rep)
+            assert rep.verdict == "nonzero" and "_expansion" not in vars(rep)
         cases = [
             (E1, E1, custom_map(1, [parse_expr(f"x1^2 + x1^2/{PRIME}", 1)])),  # PRIME divides a denominator
             (E1, vanishing, custom_map(1, [Expr.coord(1, 0)])),               # the scale vanishes at phi(p)
@@ -942,4 +951,27 @@ class TestPrimePointRoute:
         for dom, cod, spec in cases:
             assert _tension_mod_p(dom, cod, _components_of(spec)) is None
             rep = infinity_tension(dom, cod, spec)
-            assert rep.verdict == "nonzero" and "components" in vars(rep)
+            assert rep.verdict == "nonzero"
+            assert vars(rep)["_expansion"] == _tension_components(dom, cod, _components_of(spec))
+
+
+class TestEveryVerdictIsExact:
+    # Components drawn from fixed atoms, with trig and exp terms that leave the
+    # class once composed with Sol's e^{+-2z}: the prime point route decides
+    # every map whose expansion cannot, so none is refused.
+    ATOMS = {
+        "euclid:1": ("0", "1", "x1", "-x1", "cos(x1)", "sin(x1)", "exp(x1)", "x1^2", "exp(-x1)", "x1*cos(x1)"),
+        "euclid:2": ("0", "x1", "x2", "cos(x2)", "sin(x1)", "exp(x1+x2)"),
+    }
+
+    def test_every_map_of_the_census_into_sol_is_decided(self):
+        verdicts, out_of_class = [], 0
+        for label, texts in self.ATOMS.items():
+            dom = build_space(label)
+            atoms = [parse_expr(t, dom.dim) for t in texts]
+            for comps in itertools.product(atoms, repeat=3):
+                report = infinity_tension(dom, SOL, custom_map(dom.dim, list(comps)))
+                verdicts.append((report.verdict, report.mode))
+                out_of_class += report.components is None
+        assert len(verdicts) == 1216 and out_of_class == 585
+        assert set(verdicts) == {("zero", "exact"), ("nonzero", "exact")}

@@ -417,6 +417,47 @@ class TestTension:
         assert f"error: $: cannot read {missing}" in captured.err
 
 
+class TestUndecided:
+    @pytest.mark.parametrize("command", ["check", "tension"])
+    def test_a_map_that_no_exact_route_decides_exits_two(self, tmp_path, capsys, command):
+        # PRIME divides a denominator, so the prime point route does not apply, and
+        # e^{2 sin x1} leaves the symbolic class.
+        p = 2**61 - 1
+        components = [f"{p + 1}/{p}*cos(x1)", "0", "sin(x1)"]
+        path = write_map(tmp_path, "refused.json", {"kind": "custom", "m": 1, "components": components})
+        report = tmp_path / "report.json"
+        code = main([command, "--domain", "euclid:1", "--codomain", "sol", "--map", path, "--json", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not report.exists()
+        assert captured.err.startswith("error: cannot decide: ") and "Traceback" not in captured.err
+        assert "2*sin(x1)" in captured.err and "prime point route" in captured.err
+
+
+class TestFileBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--domain", "euclid:1", "--codomain", "euclid:1"],
+        ["energy", "--domain", "euclid:1", "--codomain", "euclid:1"],
+        ["tension", "--domain", "euclid:1", "--codomain", "euclid:1"],
+        ["suite", "--theorem", "L2.1", "--trials", "1"],
+        ["search", "--family", "linear", "--domain", "euclid:1", "--codomain", "euclid:1", "--trials", "1"],
+    ])
+    def test_a_report_into_a_missing_directory_exits_two(self, tmp_path, capsys, argv):
+        line = write_map(tmp_path, "line.json", {"kind": "custom", "m": 1, "components": ["x1"]})
+        target = str(tmp_path / "missing" / "out.json")
+        flags = ["--map", line] if argv[0] in ("check", "energy", "tension") else []
+        code = main([*argv, *flags, "--json", target])
+        err = capsys.readouterr().err
+        assert code == 2 and f"error: cannot write {target}: " in err and "Traceback" not in err
+
+    def test_a_map_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"kind": "custom", "m": 1, "components": ["x1"]}'.encode("utf-16-le"))
+        code = main(["check", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: $: cannot read {path}: " in captured.err and "Traceback" not in captured.err
+
+
 class TestSuiteCommand:
     def test_single_theorem(self, capsys):
         code = main(["suite", "--theorem", "T6.1", "--trials", "25", "--seed", "42"])

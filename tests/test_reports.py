@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from infharm import calculus
+from infharm import calculus, classify
 from infharm.calculus import (
     TensionReport,
     Witness,
@@ -18,7 +18,7 @@ from infharm.calculus import (
     _tension_components,
     infinity_tension,
 )
-from infharm.exprcore import Expr, is_zero, parse_expr, to_string
+from infharm.exprcore import Expr, UnsupportedExpressionError, is_zero, parse_expr, to_string
 from infharm.mapspec import affine_map, custom_map, quadratic_map
 from infharm.spaces import CATALOG_EXAMPLES, build_conformal, build_space, christoffel
 
@@ -115,27 +115,30 @@ class TestOneConstructor:
         assert len(searches) == 1
         assert report.witness is witness and len(searches) == 1
 
-    def test_a_numeric_fallback_report_computes_nothing_on_read(self, monkeypatch):
-        # PRIME divides a coefficient's denominator, so the prime point route refuses this map.
+    def test_a_map_that_neither_route_decides_is_refused(self, monkeypatch):
+        # PRIME divides a coefficient's denominator, so the prime point route refuses this
+        # map, and e^{2 sin x1} leaves the decidable class: no exact route decides it.
         p = calculus.PRIME
         refused = custom_map(1, [parse_expr(f"{p + 1}/{p}*cos(x1)", 1), Expr.zero(1), parse_expr("sin(x1)", 1)])
-        report = infinity_tension(E1, SOL, refused)
-        expansions = _spy(monkeypatch, "_tension_components")
-        searches = _spy(monkeypatch, "_find_witness")
-        assert (report.verdict, report.mode) == ("nonzero", "numeric")
-        assert set(FIELDS) <= set(vars(report))
-        for name in FIELDS:
-            getattr(report, name)
-        assert expansions == [] and searches == []
+        built = []
+        init = calculus.NumericTension.__init__
+        monkeypatch.setattr(calculus.NumericTension, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        for decide in (infinity_tension, classify.cross_validate):
+            with pytest.raises(UnsupportedExpressionError, match=(
+                r"^cannot decide: substitution produced a non-polynomial exponent 2\*sin\(x1\)"
+                r" in the tension, and the prime point route did not decide it$"
+            )):
+                decide(E1, SOL, refused)
+        assert built == []
 
     def test_an_unknown_field_is_refused(self):
         source = (E1, E1, (Expr.coord(1, 0),))
-        with pytest.raises(TypeError, match="no field 'residues'"):
-            TensionReport("zero", "exact", source, residues=())
-        with pytest.raises(TypeError, match="no field '_expansion'"):
-            TensionReport("zero", "exact", source, _expansion=None)
-        with pytest.raises(TypeError, match="no field 'is_harmonic'"):
-            TensionReport("zero", "exact", source, is_harmonic=True)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'residues'"):
+            TensionReport("zero", source, residues=())
+        with pytest.raises(TypeError, match="unexpected keyword argument '_expansion'"):
+            TensionReport("zero", source, _expansion=None)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'is_harmonic'"):
+            TensionReport("zero", source, is_harmonic=True)
 
 
 def _render(e):
