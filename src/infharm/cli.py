@@ -314,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_map_flags(p, mode=True):
+    def add_map_flags(p, decides=True):
         p.add_argument("--domain", required=True, help="domain space label")
         p.add_argument("--codomain", required=True, help="codomain space label")
         p.add_argument("--map", required=True, help="path to a map JSON document")
-        if mode:
+        if decides:
             # One value only: old invocations, and the invocation field of reports, stay valid.
             p.add_argument("--mode", choices=("exact",), default="exact")
         p.add_argument(
@@ -327,14 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="zero-pad missing map components up to the codomain dimension",
         )
         p.add_argument("--json", help="write a JSON report to this path")
-        p.add_argument("--seed", type=int, default=None)
+        if decides:
+            p.add_argument("--seed", type=int, default=None)
 
     p_check = sub.add_parser("check", help="decide infinity-harmonicity of one map")
     add_map_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_energy = sub.add_parser("energy", help="print the energy density of one map")
-    add_map_flags(p_energy, mode=False)
+    add_map_flags(p_energy, decides=False)
     p_energy.set_defaults(func=cmd_energy)
 
     p_tension = sub.add_parser("tension", help="print the tension components of one map")
@@ -367,6 +368,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # A report into a missing directory fails before the command's work, not after it.
+        if getattr(args, "json", None) and not os.path.isdir(os.path.dirname(args.json) or "."):
+            raise SpaceError(f"cannot write {args.json}: no such directory")
         return args.func(args)
     except (
         SpaceError,

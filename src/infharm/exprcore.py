@@ -1218,27 +1218,25 @@ def _coordinate(text: str, prefix: str, aliases: dict[str, int], nvars: int) -> 
     return idx - 1
 
 
-# The most terms that ``^`` may expand to, by the bound of ``_power_terms``.
+# The most terms that ``^`` may expand to, by the bound of ``_term_bound``.
 # The largest accepted power of that shape, (x1+x2+x3+1)^44 with a bound of
 # 16,215 terms, expands in about 0.9 s (Python 3.11, 2 shared cores).
 MAX_POWER_TERMS = 16_500
 
 
-def _power_terms(base: Expr, k: int, cap: int) -> int:
-    """``_term_bound`` of base^k, with the shape of a polynomial base.
+def _power_shape(base: Expr) -> tuple[int, int] | None:
+    """The shape that ``_term_bound`` takes for base: (coordinates, degree) of a polynomial, else None.
 
-    The bound is exact for polynomials, an estimate for exp and trig bases,
-    whose sin^2 = 1 - cos^2 rewrite can add terms.
+    The bound is then exact for polynomials, an estimate for exp and trig
+    bases, whose sin^2 = 1 - cos^2 rewrite can add terms.
     """
-    shape = None
-    if base._nums and base.is_polynomial():
-        v = len({i for coords, _, _ in base._nums for i, _ in coords})
-        deg = max(sum(p for _, p in coords) for coords, _, _ in base._nums)
-        shape = (v, deg)
-    return _term_bound(len(base._nums), k, cap, shape)
+    if not (base._nums and base.is_polynomial()):
+        return None
+    v = len({i for coords, _, _ in base._nums for i, _ in coords})
+    return v, max(sum(p for _, p in coords) for coords, _, _ in base._nums)
 
 
-def _term_bound(t: int, k: int, cap: int, shape: tuple[int, int] | None = None) -> int:
+def _term_bound(t: int, k: int, cap: int, shape: tuple[int, int] | None) -> int:
     """A bound on the terms of the k-th power of a t-term base, or cap + 1 once it is known to exceed cap.
 
     A product of k of the t terms is one of C(t + k - 1, k) multisets; for
@@ -1255,11 +1253,11 @@ def _term_bound(t: int, k: int, cap: int, shape: tuple[int, int] | None = None) 
     return bound
 
 
-def _check_power(k: int, t: int, term_bound: int, magnitude: int, den: int) -> None:
+def _check_power(k: int, t: int, shape: tuple[int, int] | None, magnitude: int, den: int) -> None:
     """Refuse base^k before it is expanded: more than ``MAX_POWER_TERMS`` terms, or too long coefficients.
 
-    ``term_bound`` bounds the terms of the power of a t-term base, and the
-    base's coefficients are integers over ``den`` whose absolute values sum
+    The base has t terms and the ``shape`` of ``_term_bound``, and its
+    coefficients are integers over ``den`` whose absolute values sum
     to ``magnitude``.  Every coefficient of base^k is then an integer of at
     most k * bits(magnitude) bits over den^k, so k * (bits(magnitude) +
     bits(den)) bounds the bits of each; a power whose bound exceeds the
@@ -1267,7 +1265,7 @@ def _check_power(k: int, t: int, term_bound: int, magnitude: int, den: int) -> N
     ``parse_rational`` applies to a written number, is refused too.
     """
     power = k if k < 10**9 else "n"
-    if term_bound > MAX_POWER_TERMS:
+    if _term_bound(t, k, MAX_POWER_TERMS, shape) > MAX_POWER_TERMS:
         raise ExprParseError(f"a power ^{power} of {t} terms may expand to more than {MAX_POWER_TERMS} terms")
     limit = sys.get_int_max_str_digits()
     # An int compares with a float exactly, so a huge k cannot overflow here.
@@ -1312,7 +1310,7 @@ class _ExprRing:
     def power(self, value: Expr, n: int) -> Expr:
         """value^n, refused by ``_check_power`` before it is expanded."""
         magnitude = sum(map(abs, value._nums.values()))
-        _check_power(n, len(value._nums), _power_terms(value, n, MAX_POWER_TERMS), magnitude, value._den)
+        _check_power(n, len(value._nums), _power_shape(value), magnitude, value._den)
         return value ** n
 
     def div(self, value: Expr, divisor: Expr) -> Expr:

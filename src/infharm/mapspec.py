@@ -18,7 +18,7 @@ JSON document::
 
 where ``rat`` is an integer or a string "p/q" / finite decimal.  Quadratic
 matrices must be symmetric as given; asymmetric input is rejected rather
-than silently symmetrized.
+than silently symmetrized.  A field not shown for a kind is rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exprcore import (
-    MAX_POWER_TERMS,
     MONO_ONE,
     Expr,
     ExprParseError,
@@ -38,7 +37,6 @@ from .exprcore import (
     _check_power,
     _coordinate,
     _Parser,
-    _term_bound,
     parse_expr,
     parse_rational,
     to_string,
@@ -63,15 +61,20 @@ class MapSpecError(ValueError):
 # complex polynomial helpers
 
 
+def _cpoly_accumulate(out: CPoly, mono: tuple[int, ...], re: Fraction, im: Fraction) -> None:
+    """Add re + i*im to the coefficient of mono in out, in place; a sum of zero drops mono."""
+    r0, i0 = out.get(mono, (Fraction(0), Fraction(0)))
+    r, i = r0 + re, i0 + im
+    if r == 0 and i == 0:
+        out.pop(mono, None)
+    else:
+        out[mono] = (r, i)
+
+
 def _cpoly_add(a: CPoly, b: CPoly) -> CPoly:
     out = dict(a)
     for mono, (re, im) in b.items():
-        r0, i0 = out.get(mono, (Fraction(0), Fraction(0)))
-        r, i = r0 + re, i0 + im
-        if r == 0 and i == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = (r, i)
+        _cpoly_accumulate(out, mono, re, im)
     return out
 
 
@@ -80,14 +83,7 @@ def _cpoly_mul(a: CPoly, b: CPoly) -> CPoly:
     for m1, (r1, i1) in a.items():
         for m2, (r2, i2) in b.items():
             mono = tuple(x + y for x, y in zip(m1, m2))
-            re = r1 * r2 - i1 * i2
-            im = r1 * i2 + i1 * r2
-            r0, i0 = out.get(mono, (Fraction(0), Fraction(0)))
-            r, i = r0 + re, i0 + im
-            if r == 0 and i == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = (r, i)
+            _cpoly_accumulate(out, mono, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
     return out
 
 
@@ -155,7 +151,7 @@ class _GaussianRing:
         den = math.lcm(*(x.denominator for x in parts))
         magnitude = sum(abs(x.numerator) * (den // x.denominator) for x in parts)
         shape = (len({i for mono in value for i, e in enumerate(mono) if e}), cpoly_degree(value))
-        _check_power(n, len(value), _term_bound(len(value), n, MAX_POWER_TERMS, shape), magnitude, den)
+        _check_power(n, len(value), shape, magnitude, den)
         return _cpoly_pow(value, self.m, n)
 
     def div(self, value: CPoly, divisor: CPoly) -> CPoly:
@@ -229,6 +225,8 @@ def affine_map(A, b=None) -> MapSpec:
     bt = tuple(Fraction(v) for v in b) if b is not None else (Fraction(0),) * n
     if len(bt) != n:
         raise MapSpecError("b", f"expected {n} entries, got {len(bt)}")
+    if n and not m:
+        raise MapSpecError("A[0]", "expected a row with at least one entry")
     return MapSpec(kind="affine", domain_dim=m, codomain_dim=n, A=A, b=bt)
 
 
@@ -249,16 +247,11 @@ def quadratic_map(quad, A=None, b=None) -> MapSpec:
                         f"matrix is not symmetric at ({i},{j}); symmetrize"
                         " explicitly via (M + M^t)/2 if that is intended",
                     )
-    if A is None:
-        At = tuple((Fraction(0),) * m for _ in range(n))
-    else:
-        At = tuple(tuple(Fraction(v) for v in row) for row in A)
-        if len(At) != n or any(len(row) != m for row in At):
-            raise MapSpecError("A", f"expected {n}x{m} matrix")
-    bt = tuple(Fraction(v) for v in b) if b is not None else (Fraction(0),) * n
-    if len(bt) != n:
-        raise MapSpecError("b", f"expected {n} entries, got {len(bt)}")
-    return MapSpec(kind="quadratic", domain_dim=m, codomain_dim=n, A=At, b=bt, quad=quads)
+    if A is not None and (len(A) != n or any(len(row) != m for row in A)):
+        raise MapSpecError("A", f"expected {n}x{m} matrix")
+    # The linear part and b follow the affine rules; A defaults to zero.
+    affine = affine_map(((0,) * m,) * n if A is None else A, b)
+    return MapSpec(kind="quadratic", domain_dim=m, codomain_dim=n, A=affine.A, b=affine.b, quad=quads)
 
 
 def custom_map(m: int, components: list[Expr]) -> MapSpec:
@@ -411,6 +404,34 @@ def _rat_vector(values, path: str) -> RatVector:
     return tuple(_rat(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
+def _parse_strings(document, kind: str, m_is: str, field: str, noun: str, parse) -> tuple[int, list]:
+    """The positive integer ``m`` and the nonempty list under ``field``, each string parsed over m variables."""
+    m = document.get("m")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise MapSpecError("m", f"{kind} maps need a positive integer {m_is}")
+    texts = document.get(field)
+    if not isinstance(texts, list) or not texts:
+        raise MapSpecError(field, f"expected a nonempty list of {noun} strings")
+    parsed = []
+    for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise MapSpecError(f"{field}[{i}]", f"expected {'an' if noun[0] in 'aeiou' else 'a'} {noun} string")
+        try:
+            parsed.append(parse(text, m))
+        except (ExprParseError, UnsupportedExpressionError) as exc:
+            raise MapSpecError(f"{field}[{i}]", str(exc)) from None
+    return m, parsed
+
+
+# The fields of each kind: those that ``serialize_mapspec`` writes, so every report's map reads back.
+_FIELDS = {
+    "affine": ("kind", "A", "b"),
+    "quadratic": ("kind", "quad", "A", "b"),
+    "custom": ("kind", "m", "components"),
+    "holomorphic": ("kind", "m", "complex"),
+}
+
+
 def parse_mapspec(document) -> MapSpec:
     """Validate a map document (dict or JSON string) into a MapSpec."""
     if isinstance(document, str):
@@ -422,54 +443,29 @@ def parse_mapspec(document) -> MapSpec:
         raise MapSpecError("$", "expected a JSON object")
     kind = document.get("kind")
     try:
-        if kind == "affine":
-            A = _rat_matrix(document["A"], "A")
-            b = _rat_vector(document["b"], "b") if "b" in document else None
-            return affine_map(A, b)
         if kind == "quadratic":
             quads = document["quad"]
             if not isinstance(quads, list) or not quads:
                 raise MapSpecError("quad", "expected a nonempty list of matrices")
             qs = [_rat_matrix(q, f"quad[{qi}]") for qi, q in enumerate(quads)]
-            A = _rat_matrix(document["A"], "A") if "A" in document else None
+        if kind in ("affine", "quadratic"):
+            A = _rat_matrix(document["A"], "A") if kind == "affine" or "A" in document else None
             b = _rat_vector(document["b"], "b") if "b" in document else None
-            return quadratic_map(qs, A, b)
-        if kind == "custom":
-            m = document.get("m")
-            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                raise MapSpecError("m", "custom maps need a positive integer domain dimension")
-            comps = document.get("components")
-            if not isinstance(comps, list) or not comps:
-                raise MapSpecError("components", "expected a nonempty list of expression strings")
-            parsed = []
-            for i, text in enumerate(comps):
-                if not isinstance(text, str):
-                    raise MapSpecError(f"components[{i}]", "expected an expression string")
-                try:
-                    parsed.append(parse_expr(text, m))
-                except (ExprParseError, UnsupportedExpressionError) as exc:
-                    raise MapSpecError(f"components[{i}]", str(exc)) from None
-            return custom_map(m, parsed)
-        if kind == "holomorphic":
-            m = document.get("m")
-            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-                raise MapSpecError("m", "holomorphic maps need a positive integer variable count")
-            comps = document.get("complex")
-            if not isinstance(comps, list) or not comps:
-                raise MapSpecError("complex", "expected a nonempty list of polynomial strings")
-            parsed = []
-            for i, text in enumerate(comps):
-                if not isinstance(text, str):
-                    raise MapSpecError(f"complex[{i}]", "expected a polynomial string")
-                try:
-                    parsed.append(parse_cpoly(text, m))
-                except ExprParseError as exc:
-                    raise MapSpecError(f"complex[{i}]", str(exc)) from None
-            cmap = ComplexPolyMap(m=m, n=len(parsed), components=tuple(parsed))
-            return holomorphic_map(cmap)
+            spec = affine_map(A, b) if kind == "affine" else quadratic_map(qs, A, b)
+        elif kind == "custom":
+            m, parsed = _parse_strings(document, kind, "domain dimension", "components", "expression", parse_expr)
+            spec = custom_map(m, parsed)
+        elif kind == "holomorphic":
+            m, parsed = _parse_strings(document, kind, "variable count", "complex", "polynomial", parse_cpoly)
+            spec = holomorphic_map(ComplexPolyMap(m=m, n=len(parsed), components=tuple(parsed)))
+        else:
+            raise MapSpecError("kind", f"unknown kind {kind!r}")
     except KeyError as exc:
         raise MapSpecError(str(exc.args[0]), "missing required field") from None
-    raise MapSpecError("kind", f"unknown kind {kind!r}")
+    stray = [key for key in document if key not in _FIELDS[kind]]
+    if stray:
+        raise MapSpecError(str(stray[0]), f"{kind} maps take no such field (fields: {', '.join(_FIELDS[kind])})")
+    return spec
 
 
 def serialize_mapspec(spec: MapSpec) -> dict:

@@ -194,6 +194,19 @@ class TestCheck:
         ('{"kind": "quadratic", "quad": [[[1, 0], [0, 1]]], "b": [1, 2]}', "b: expected 1 entries"),
         ('{"kind": "custom", "m": 2, "components": []}', "components: expected a nonempty list"),
         ('{"kind": "holomorphic", "m": 1, "complex": []}', "complex: expected a nonempty list"),
+        # A row with no entries would make a map out of R^0.
+        ('{"kind": "affine", "A": [[]]}', "A[0]: expected a row with at least one entry"),
+        # ... while a document refused before keeps its message.
+        ('{"kind": "affine", "A": [[], [1]]}', "A[1]: expected 0 entries, got 1"),
+        ('{"kind": "affine", "A": [[]], "b": [1, 2]}', "b: expected 1 entries, got 2"),
+        ('{"kind": "quadratic", "quad": [[[]]]}', "quad[0]: expected 1x1 matrix"),
+        # A field the kind does not take is refused, not dropped.
+        ('{"kind": "affine", "A": [[1, 0], [0, 1]], "quad": [[[1]]]}', "quad: affine maps take no such field"),
+        ('{"kind": "quadratic", "quad": [[[1, 0], [0, 1]]], "m": 2}', "m: quadratic maps take no such field"),
+        ('{"kind": "custom", "m": 2, "components": ["x1"], "componets": ["x2"]}', "componets: custom maps take no"),
+        ('{"kind": "holomorphic", "m": 1, "complex": ["z1"], "A": [[1]]}', "A: holomorphic maps take no such"),
+        # ... after every other field is read.
+        ('{"kind": "affine", "quad": [[[1]]]}', "A: missing required field"),
     ])
     def test_malformed_document_exit_two(self, tmp_path, capsys, text, path):
         bad = tmp_path / "bad.json"
@@ -449,6 +462,14 @@ class TestFileBoundary:
         err = capsys.readouterr().err
         assert code == 2 and f"error: cannot write {target}: " in err and "Traceback" not in err
 
+    def test_a_suite_into_a_missing_directory_runs_no_campaign(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("infharm.cli.run_suite", lambda *args, **kwargs: pytest.fail("a campaign ran"))
+        target = str(tmp_path / "missing" / "out.json")
+        code = main(["suite", "--theorem", "all", "--trials", "5", "--json", target])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ") and "Traceback" not in captured.err
+
     def test_a_map_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + '{"kind": "custom", "m": 1, "components": ["x1"]}'.encode("utf-16-le"))
@@ -618,6 +639,13 @@ class TestSpacesCommand:
 
 
 class TestParser:
+    def test_energy_takes_no_seed(self, capsys, square_map):
+        with pytest.raises(SystemExit) as refused:
+            main(["energy", "--domain", "euclid:1", "--codomain", "euclid:1", "--map", square_map, "--seed", "3"])
+        captured = capsys.readouterr()
+        assert refused.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --seed 3" in captured.err
+
     def test_main_reuses_one_parser(self, capsys):
         parser = build_parser()
         before = build_parser.cache_info()

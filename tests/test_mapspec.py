@@ -1,5 +1,6 @@
 """Map families: materialization, realification, JSON ingestion."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -350,6 +351,40 @@ class TestRoundTrip:
             corpus.append((f"({p})*({q}) - i*z1^2 + (2-i)^3", m))
         for text, m in corpus:
             assert list(parse_cpoly(text, m).items()) == list(reference_parse_cpoly(text, m).items())
+
+    # Powers, products with i and cancellations over z1, z2, with the items of
+    # ``parse_cpoly`` in their key order, as computed before ``_cpoly_add`` and
+    # ``_cpoly_mul`` shared their accumulate step.
+    PINNED_CPOLYS = {
+        "(z1+i*z2)^3": [((3, 0), (1, 0)), ((2, 1), (0, 3)), ((1, 2), (-3, 0)), ((0, 3), (0, -1))],
+        "(1+i)*z1^2*(z2-i) + 3": [((2, 1), (1, 1)), ((2, 0), (1, -1)), ((0, 0), (3, 0))],
+        "(z1+z2)^2 - (z1-z2)^2": [((1, 1), (4, 0))],
+        "z1*z2 + i*z2^2 - z1*z2 + 2": [((0, 2), (0, 1)), ((0, 0), (2, 0))],
+        "(z1-i)^2*(z2+i)^2": [
+            ((2, 2), (1, 0)), ((2, 1), (0, 2)), ((2, 0), (-1, 0)), ((1, 2), (0, -2)), ((1, 1), (4, 0)),
+            ((1, 0), (0, 2)), ((0, 2), (-1, 0)), ((0, 1), (0, -2)), ((0, 0), (1, 0)),
+        ],
+        "(z1+i*z2)^2 - z1^2 + z2^2": [((1, 1), (0, 2))],
+        "(2-3*i)*z1*z2^2/5 + (z1+1)^3": [
+            ((1, 2), (Fraction(2, 5), Fraction(-3, 5))), ((3, 0), (1, 0)), ((2, 0), (3, 0)), ((1, 0), (3, 0)),
+            ((0, 0), (1, 0)),
+        ],
+        "i*(z1+z2)^2*i + (z1+z2)^2": [],
+        # A product whose later term pairs add to monomials met earlier.
+        "(z2+i*z1)*(z1-i*z2+1)": [
+            ((1, 1), (2, 0)), ((0, 2), (0, -1)), ((0, 1), (1, 0)), ((2, 0), (0, 1)), ((1, 0), (0, 1)),
+        ],
+        "(z2+z1)^2*(1-i) + 2*i*z1*z2": [((0, 2), (1, -1)), ((1, 1), (2, 0)), ((2, 0), (1, -1))],
+    }
+
+    def test_cpoly_key_order_and_realify_term_order_are_pinned(self):
+        """``realify`` sums terms in the key order of ``parse_cpoly``, and every witness float follows that order."""
+        for text, items in self.PINNED_CPOLYS.items():
+            assert list(parse_cpoly(text, 2).items()) == items, text
+        # sha256 of the (den, _nums items) of every realified component, in order.
+        comps = [sum(realify(ComplexPolyMap(2, 1, (parse_cpoly(text, 2),))), ()) for text in self.PINNED_CPOLYS]
+        blob = repr([[(c._den, list(c._nums.items())) for c in cs] for cs in comps]).encode()
+        assert hashlib.sha256(blob).hexdigest() == "ef5e35658d937254c5194e43dc1249b15ef2691c5623a36792c1d25440c63ae7"
 
     def test_digest_stability(self):
         spec = affine_map([[1, 0], [0, 1]])
